@@ -360,7 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "search-r37", help="search small configurations for a patched-extension violation"
     )
     common(p_search, input_required=False)
-    p_search.add_argument("--max-n", type=int, default=2, help="largest ambient dimension (cap 3)")
+    p_search.add_argument(
+        "--max-n", type=int, default=3, help="largest ambient dimension (the search starts at 3; cap 3)"
+    )
     p_search.add_argument("--max-cols", type=int, default=4, help="largest column count (cap 6)")
 
     return parser

@@ -22,6 +22,7 @@ from itertools import combinations
 from .errors import (
     BadB0,
     ColoopInI,
+    DimensionMismatch,
     FamilyNotClosed,
     MissingB0,
     NotIndependent,
@@ -47,7 +48,7 @@ class Config:
         n = len(cols[0])
         for i, col in enumerate(cols):
             if len(col) != n:
-                raise ZeroColumn(i)  # ragged: treat as malformed column
+                raise DimensionMismatch(f"column {i} has length {len(col)}, expected {n}")
             if all(x == 0 for x in col):
                 raise ZeroColumn(i)
         r = rank(cols)
@@ -65,7 +66,9 @@ class Config:
                 self, "lam", tuple(None if x is None else frac(x) for x in self.lam)
             )
             if len(self.lam) != len(cols):
-                raise BadB0(f"lambda must have one offset per column ({len(cols)})")
+                raise DimensionMismatch(
+                    f"lambda has {len(self.lam)} offsets, expected one per column ({len(cols)})"
+                )
         if self.lam_b0 is not None:
             if self.b0 is None:
                 raise MissingB0()
@@ -73,7 +76,9 @@ class Config:
                 self, "lam_b0", tuple(None if x is None else frac(x) for x in self.lam_b0)
             )
             if len(self.lam_b0) != n:
-                raise BadB0(f"lambda_b0 must have one offset per b0 vector ({n})")
+                raise DimensionMismatch(
+                    f"lambda_b0 has {len(self.lam_b0)} offsets, expected one per b0 vector ({n})"
+                )
 
     @property
     def n(self) -> int:

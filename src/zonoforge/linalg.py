@@ -1,15 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
 A vector is a tuple of fractions.Fraction, a matrix a tuple of equal-length
-row tuples.  Everything is exact; no floats enter anywhere.  rref() is fully
-canonical (leading ones, pivot columns cleared above and below), so two row
-spaces are equal iff their reduced forms are identical tuples.
+row tuples.  Values are rational at every interface; no floats enter
+anywhere.  Elimination itself runs on Python ints: each row is scaled by
+the lcm of its denominators (which changes neither its row space nor the
+reduced form), reduced fraction-free, and turned back into Fractions only
+when a reduced form is returned.  rref() is fully canonical (leading ones,
+pivot columns cleared above and below), so two row spaces are equal iff
+their reduced forms are identical tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
@@ -55,30 +59,100 @@ def mat_vec(m: Matrix, v) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
+class _Ints(dict):
+    """Fraction of each small int, made once; other ints are made on demand."""
+
+    def __missing__(self, k):
+        return Fraction(k)
+
+
+_SMALL = _Ints({k: Fraction(k) for k in range(-16, 17)})
+_ZERO = _SMALL[0]
+
+
+def _integer_row(row) -> list:
+    """The row scaled by the lcm of its denominators: a row of ints."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(m: Matrix, reduced: bool) -> list:
+    """Integer pivot rows of m as (pivot column, row) pairs, in the order found.
+
+    Rows are taken one at a time and cleared against the pivot rows so far
+    with the fraction-free update p/h * row - f/h * pivot_row, h = gcd(p, f);
+    after an update that scaled the row (p/h != 1) its content is divided
+    out, so entries stay near the size of the final ones instead of growing
+    with the product of the pivots.  A row that survives becomes a pivot row
+    at its leading column, divided by its content so the pivot is positive
+    and the row primitive.  Each
+    pivot row is zero in the pivot columns found before it, which is all
+    rank needs; with `reduced` the new pivot column is also cleared from
+    the earlier rows (Gauss-Jordan), so every pivot row is zero in every
+    other pivot column.
+    """
+    pivots = []
+    ncols = len(m[0]) if m else 0
+    for row in m:
+        row = _integer_row(row)
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                p = prow[c]
+                h = gcd(p, f)
+                a, b = p // h, f // h
+                if a == 1:
+                    row = [x - b * y for x, y in zip(row, prow)]
+                else:
+                    row = [a * x - b * y for x, y in zip(row, prow)]
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*row)
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+        if reduced:
+            p = row[lead]
+            for k, (c, prow) in enumerate(pivots):
+                f = prow[lead]
+                if f:
+                    h = gcd(p, f)
+                    a, b = p // h, f // h
+                    prow = [a * x - b * y for x, y in zip(prow, row)]
+                    g = gcd(*prow)
+                    if g != 1:
+                        prow = [x // g for x in prow]
+                    pivots[k] = (c, prow)
+        pivots.append((lead, row))
+        if len(pivots) == ncols:
+            break
+    return pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m]
-    if not rows:
+    if not m:
         return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pin = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pin is None:
-            continue
-        rows[r], rows[pin] = rows[pin], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    pivots = sorted(_eliminate(m, reduced=True))  # pivot columns are distinct
+    cols = tuple([c for c, _ in pivots])
+    out = []
+    for k, c in enumerate(cols):
+        row = pivots[k][1]
+        pivots[k] = None  # free each integer row once its Fractions exist
+        p = row[c]
+        if p == 1:
+            out.append(tuple([_SMALL[x] for x in row]))
+        else:
+            out.append(tuple([Fraction(x, p) if x else _ZERO for x in row]))
+    out.extend([(_ZERO,) * len(m[0])] * (len(m) - len(out)))
+    return tuple(out), cols
 
 
 def row_basis(m: Matrix) -> Matrix:
@@ -88,7 +162,7 @@ def row_basis(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m, reduced=False))
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> Matrix:
@@ -106,8 +180,8 @@ def nullspace(m: Matrix, ncols: int | None = None) -> Matrix:
     for f in range(ncols):
         if f in pivset:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [_ZERO] * ncols
+        v[f] = _SMALL[1]
         for r, p in enumerate(piv):
             v[p] = -red[r][f]
         basis.append(tuple(v))
@@ -151,20 +225,13 @@ def det(a: Matrix) -> Fraction:
 
 def primitive_integer(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = _integer_row(v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def in_row_space(m: Matrix, v) -> bool:

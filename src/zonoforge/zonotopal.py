@@ -66,9 +66,24 @@ class Bundle:
         return self.p_space.dim()
 
 
-def _check(cond: bool, msg: str):
+def _check(cond: bool, msg: str, **evidence):
+    """Raise ConsistencyError with msg, followed by the evidence, unless cond holds."""
     if not cond:
+        if evidence:
+            msg += ": " + ", ".join(f"{k}={v!r}" for k, v in evidence.items())
         raise ConsistencyError(msg)
+
+
+def _check_hilbert(kind: str, h_val: tuple, h_alg: tuple, p_space: GradedSubspace):
+    """The valuation, ideal-quotient and space Hilbert functions must agree."""
+    h_space = p_space.hilbert()
+    _check(
+        h_val == h_alg == h_space,
+        f"{kind}: Hilbert functions disagree",
+        h_val=h_val,
+        h_alg=h_alg,
+        p_space_hilbert=h_space,
+    )
 
 
 def stabilization_cap(c: Config) -> int:
@@ -175,7 +190,7 @@ def central(c: Config) -> Bundle:
     j_gens = cocircuit_gens(c)
     h_val = valuation_histogram(c, bases(c))
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
-    _check(h_val == h_alg == p_space.hilbert(), "central: Hilbert functions disagree")
+    _check_hilbert("central", h_val, h_alg, p_space)
     _check(p_space.dim() == len(bases(c)), "central: dimension is not the basis count")
     return Bundle(
         kind="central",
@@ -250,7 +265,7 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
 
     h_val = valuation_histogram(c, fam.members)
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
-    _check(h_val == h_alg == p_space.hilbert(), "semi-external: Hilbert functions disagree")
+    _check_hilbert("semi-external", h_val, h_alg, p_space)
     _check(p_space.dim() == len(fam), "semi-external: dimension is not the family size")
     return Bundle(
         kind="semi_external",
@@ -321,7 +336,7 @@ def semi_internal(c: Config, i_set) -> Bundle:
 
     h_val = valuation_histogram(c, bminus, order=order)
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
-    _check(h_val == h_alg == p_space.hilbert(), "semi-internal: Hilbert functions disagree")
+    _check_hilbert("semi-internal", h_val, h_alg, p_space)
     _check(p_space.dim() == len(bminus), "semi-internal: dimension is not the restricted basis count")
     return Bundle(
         kind="semi_internal",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,18 @@ def test_exit_2_on_unreadable_or_invalid_files(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"matrix": [["1", "0"], ["0", "1"]], "lambda": ["1"]},
+        {"matrix": [["1", "0"], ["0", "1"]], "b0": [[1, 0], [0, 1]], "lambda_b0": [1, 2, 3]},
+    ],
+)
+def test_exit_2_on_wrong_offset_count(tmp_path, capsys, doc):
+    assert main(["matroid", "--input", write_doc(tmp_path, doc)]) == 2
+    assert "offsets, expected one per" in capsys.readouterr().err
+
+
 def test_exit_2_when_kind_lacks_its_field(tmp_path, capsys):
     doc = write_doc(tmp_path, {"matrix": [["1", "0"], ["0", "1"]]})
     assert main(["space", "--input", doc, "--kind", "semi_external"]) == 2
@@ -266,6 +279,15 @@ def test_exit_2_on_fixed_non_simple_offsets(tmp_path, capsys):
     assert code == 2
 
 
+def test_search_default_window_examines_configurations(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    assert main(["search-r37", "--output", str(out)]) == 0
+    capsys.readouterr()
+    result = json.loads(out.read_text(encoding="utf-8"))["result"]
+    assert result["bounds"]["max_n"] == 3
+    assert result["configs_examined"] > 0
+
+
 def test_search_refuses_large_bounds(capsys):
     code = main(["search-r37", "--max-n", "4"])
     err = capsys.readouterr().err
@@ -287,10 +309,13 @@ def test_console_script_runs():
 
 
 def test_module_entry_point_runs():
+    # the child finds the package in src/ whether or not it is installed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "zonoforge", "matroid", "--input", str(INPUTS / "identity2.json")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "matroid"

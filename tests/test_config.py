@@ -33,7 +33,9 @@ from zonoforge.config import (
 )
 from zonoforge.errors import (
     BadB0,
+    DimensionMismatch,
     FamilyNotClosed,
+    InputError,
     MissingB0,
     NotIndependent,
     RankDeficient,
@@ -54,6 +56,22 @@ def test_rank_deficient_rejected():
 def test_bad_b0_rejected():
     with pytest.raises(BadB0):
         make_config([[1, 0], [0, 1]], b0_rows=[[1, 1], [1, 1]])
+
+
+def test_ragged_column_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="column 1 has length 1"):
+        Config(((1, 0), (1,)))
+
+
+def test_wrong_lambda_length_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="lambda has 1 offsets"):
+        make_config([[1, 0], [0, 1]], lam=[1])
+
+
+def test_wrong_lambda_b0_length_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="lambda_b0 has 3 offsets") as info:
+        make_config([[1, 0], [0, 1]], b0_rows=[[1, 0], [0, 1]], lam_b0=[1, 2, 3])
+    assert isinstance(info.value, InputError)
 
 
 def test_extended_requires_b0():

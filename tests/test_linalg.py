@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction."""
+"""Exact linear algebra: Fraction interfaces, integer elimination."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonoforge.linalg import (
     det,
@@ -104,3 +106,156 @@ def test_rank_nullity_random(seed):
     for v in ns:
         for row in m:
             assert dot(row, v) == 0
+
+
+# -- differential tests: the integer kernel against the Fraction loop ------------
+
+
+def reference_rref(m):
+    """The dense Fraction Gauss-Jordan loop rref() used before elimination
+    moved to integers, kept verbatim as an independent oracle."""
+    rows = [list(r) for r in m]
+    if not rows:
+        return (), ()
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pin = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pin is None:
+            continue
+        rows[r], rows[pin] = rows[pin], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_row_basis(m):
+    red, piv = reference_rref(m)
+    return red[: len(piv)]
+
+
+def reference_nullspace(m, ncols):
+    red, piv = reference_rref(m)
+    pivset = set(piv)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(piv):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return reference_row_basis(tuple(basis))
+
+
+def reference_solve_square(a, b):
+    n = len(a)
+    aug = tuple(tuple(row) + (bi,) for row, bi in zip(a, b))
+    red, piv = reference_rref(aug)
+    if len(piv) < n or (piv and piv[-1] == n):
+        return None
+    return tuple(red[i][n] for i in range(n))
+
+
+def all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def assert_matches_reference(m, ncols, rhs=None):
+    red, piv = rref(m)
+    assert (red, piv) == reference_rref(m)
+    assert all_fractions(red)
+    assert rank(m) == len(reference_rref(m)[1])
+    basis = row_basis(m)
+    assert basis == reference_row_basis(m) and all_fractions(basis)
+    kern = nullspace(m, ncols=ncols)
+    assert kern == reference_nullspace(m, ncols) and all_fractions(kern)
+    if rhs is not None:
+        x = solve_square(m, rhs)
+        assert x == reference_solve_square(m, rhs)
+        assert x is None or all_fractions([x])
+
+
+def random_matrix(rng, nrows, ncols):
+    """Entries p/q with many zeros; some rows zero, some combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fraction(0)] * ncols)
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 12))) if rng.random() < 0.7
+                else Fraction(0)
+                for _ in range(ncols)
+            ])
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    for nrows in range(0, 9):
+        for ncols in (1, 2, 5, 10):
+            m = random_matrix(rng, nrows, ncols)
+            rhs = None
+            if nrows == ncols and nrows:
+                rhs = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nrows))
+            assert_matches_reference(m, ncols, rhs)
+
+
+def test_kernel_matches_reference_on_edge_shapes():
+    zero = Fraction(0)
+    assert_matches_reference((), 3)
+    assert_matches_reference(((zero,), (zero,)), 1)
+    assert_matches_reference(((Fraction(-3, 4),), (Fraction(6),)), 1)
+    assert_matches_reference(((Fraction(-3, 4),),), 1, (Fraction(2),))
+    assert_matches_reference(((zero,),), 1, (Fraction(2),))
+    assert_matches_reference(((zero, zero, zero),), 3)
+    assert rref(((), ())) == reference_rref(((), ())) == (((), ()), ())
+    # dependent rows that leave the rank at one
+    row = (Fraction(1, 2), Fraction(-2, 3), Fraction(5))
+    assert_matches_reference((row, tuple(3 * x for x in row), row), 3)
+    # entries with large coprime denominators
+    big = tuple(Fraction(7**k, 2**(3 * k) + 1) for k in range(6))
+    assert_matches_reference((big, big[::-1], tuple(x * x for x in big)), 6)
+
+
+fractions_st = st.builds(
+    Fraction, st.integers(-20, 20), st.integers(1, 9)
+) | st.just(Fraction(0))
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(fractions_st, min_size=ncols, max_size=ncols), max_size=7))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        s = draw(fractions_st)
+        rows.append([s * x for x in rows[k]])
+    return ncols, tuple(tuple(r) for r in rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_kernel_matches_reference_hypothesis(shape_and_matrix, data):
+    ncols, m = shape_and_matrix
+    rhs = None
+    if len(m) == ncols:
+        rhs = tuple(data.draw(st.lists(fractions_st, min_size=ncols, max_size=ncols)))
+    assert_matches_reference(m, ncols, rhs)

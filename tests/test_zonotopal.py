@@ -325,3 +325,22 @@ def test_consistency_error_is_loud():
 
     with pytest.raises(ConsistencyError):
         _check(False, "detected")
+
+
+def test_hilbert_disagreement_carries_all_three_vectors(monkeypatch):
+    # three generic vectors in the plane: central Hilbert function (1, 2)
+    import zonoforge.zonotopal as zonotopal
+
+    c = make_config([[1, 0, 1], [0, 1, 1]])
+    monkeypatch.setattr(zonotopal, "hilbert_quotient", lambda gens, cap: (1, 1, 1))
+    central.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError) as info:
+            central(c)
+    finally:
+        central.cache_clear()
+    msg = str(info.value)
+    assert msg.startswith("central: Hilbert functions disagree")
+    assert "h_val=(1, 2)" in msg
+    assert "h_alg=(1, 1, 1)" in msg
+    assert "p_space_hilbert=(1, 2)" in msg
