@@ -4,17 +4,24 @@ An offset vector turns each column x into the hyperplane <x, u> = offset_x.
 When the arrangement is simple (every k of the hyperplanes meet in
 codimension k or not at all) the vertices are exactly the basis solutions,
 and the space spanned by the lowest-degree parts of the point exponentials
-interpolates any function on the vertex set uniquely.
+interpolates any function on the vertex set uniquely.  That least space is
+read off the Taylor matrix of the exponentials, truncated at the first
+degree where the matrix has full rank (de Boor and Ron's least
+interpolant).  The lattice points of a unimodular zonotope are the distinct
+subset sums of its columns, one per independent set (Stanley's tiling of
+the zonotope by half-open parallelepipeds).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .config import Config, bases, rank_of
+from .config import Config, bases, independents
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -25,7 +32,7 @@ from .errors import (
 )
 from .graded import GradedSubspace
 from .linalg import frac, matrix, rank, rref, solve_square
-from .poly import HPoly, monomials, multi_factorial
+from .poly import HPoly, monomials
 
 MAX_SAMPLING_TRIES = 100
 
@@ -35,7 +42,6 @@ class Arrangement:
     config: Config
     offsets: tuple
     vertices: tuple  # ((basis frozenset, point tuple), ...) in basis order
-    simple: bool = True  # constructors only ever return simple instances
 
 
 def _simplicity_witness(c: Config, offsets) -> tuple | None:
@@ -123,57 +129,77 @@ def vertex_set(arr: Arrangement, basis_family) -> tuple:
     return tuple(sorted(points))
 
 
-def _taylor_row(point, nvars: int, dmax: int) -> tuple:
-    row = []
-    for d in range(dmax + 1):
-        for exp in monomials(nvars, d):
-            val = Fraction(1)
-            for x, e in zip(point, exp):
-                val *= frac(x) ** e
-            row.append(val / multi_factorial(exp))
-    return tuple(row)
+def _distinct_points(points) -> list:
+    """The points as tuples of Fractions; DuplicatePoints on the first repeat."""
+    pts = [tuple(frac(x) for x in p) for p in points]
+    seen = set()
+    for p in pts:
+        if p in seen:
+            raise DuplicatePoints(p)
+        seen.add(p)
+    return pts
 
 
 def least_space(points, extra: int = 0) -> GradedSubspace:
     """Span of the lowest-degree parts of the exponentials of the points.
 
-    Row-reduce the truncated Taylor matrix of the point exponentials; the
-    pivot of each reduced row sits in its lowest nonzero degree block, so
-    that block is the row's least part.  `extra` pads the truncation degree;
-    the result must not depend on it (truncation stability).
+    The Taylor rows of the point exponentials grow one degree block at a
+    time, from the first degree with at least as many monomials as points,
+    until they have full rank; no higher block can change a least part,
+    and #points - 1 always suffices for distinct points.  `extra` pads that
+    many blocks past the stop; the result must not depend on it
+    (truncation stability).  After one row reduction the pivot of each
+    reduced row sits in its lowest nonzero degree block, so that block is
+    the row's least part.
     """
-    pts = [tuple(frac(x) for x in p) for p in points]
-    for i, p in enumerate(pts):
-        if p in pts[:i]:
-            raise DuplicatePoints(p)
+    pts = _distinct_points(points)
     if not pts:
         return GradedSubspace.zero(0)
     nvars = len(pts[0])
     if any(len(p) != nvars for p in pts):
         raise DimensionMismatch("points of mixed dimension")
 
-    dmax = max(len(pts) - 1, 0) + extra
-    while True:
-        rows = matrix([_taylor_row(p, nvars, dmax) for p in pts])
-        reduced, pivots = rref(rows)
-        if len(pivots) == len(pts):
-            break
-        dmax += 1  # cannot happen for distinct points, but stay safe
+    # x^e / e! per coordinate: a Taylor entry is a product of nvars of them
+    scaled = [[[Fraction(1)] for _ in range(nvars)] for _ in pts]
+    rows = [[] for _ in pts]
+    starts = []
 
-    block_of = []
-    offsets = []
-    start = 0
-    for d in range(dmax + 1):
-        size = len(monomials(nvars, d))
-        offsets.append((start, start + size))
-        block_of.extend([d] * size)
-        start += size
+    def add_block(d: int):
+        starts.append(len(rows[0]))
+        for p, powers, row in zip(pts, scaled, rows):
+            if d:
+                for x, pw in zip(p, powers):
+                    pw.append(pw[-1] * x / d)
+            for exp in monomials(nvars, d):
+                val = Fraction(1)
+                for pw, e in zip(powers, exp):
+                    val *= pw[e]
+                row.append(val)
+
+    first = next(d for d in itertools.count() if comb(nvars + d, nvars) >= len(pts))
+    top = len(pts) - 1  # distinct points are separated in degree <= #points - 1
+    for d in range(top + 1):
+        add_block(d)
+        if d >= first:
+            reached = rank(rows)
+            if reached == len(pts):
+                break
+    else:
+        raise ConsistencyError(
+            f"Taylor matrix of {len(pts)} distinct points reached rank "
+            f"{reached} by degree {top}"
+        )
+    for k in range(1, extra + 1):
+        add_block(d + k)
+    reduced, pivots = rref(rows)
 
     leasts = []
     for row, piv in zip(reduced, pivots):
-        d = block_of[piv]
-        lo, hi = offsets[d]
-        leasts.append(HPoly.from_coeff_vector(nvars, d, row[lo:hi]))
+        d = bisect_right(starts, piv) - 1
+        lo = starts[d]
+        leasts.append(
+            HPoly.from_coeff_vector(nvars, d, row[lo : lo + len(monomials(nvars, d))])
+        )
     space = GradedSubspace.from_spanning(nvars, leasts)
     if space.dim() != len(pts):
         raise ConsistencyError(
@@ -184,10 +210,7 @@ def least_space(points, extra: int = 0) -> GradedSubspace:
 
 def restriction_certificate(points, space: GradedSubspace) -> dict:
     """Invertibility of evaluation of the space's basis on the point set."""
-    pts = [tuple(frac(x) for x in p) for p in points]
-    for i, p in enumerate(pts):
-        if p in pts[:i]:
-            raise DuplicatePoints(p)
+    pts = _distinct_points(points)
     polys = list(space.basis_polys())
     square = len(polys) == len(pts)
     invertible = False
@@ -219,99 +242,24 @@ def is_unimodular(c: Config) -> bool:
     return True
 
 
-def _phase1_feasible(c: Config, target) -> tuple | None:
-    """Exact phase-1 simplex for  X w = target,  0 <= w <= 1.
-
-    Standard form: w_j + s_j = 1 turns the box into equalities; one
-    artificial variable per row; Bland's rule on both choices, so the walk
-    terminates.  Returns the w-vector on feasibility, None otherwise.
-    """
-    n, ncols = c.n, c.ncols
-    m = n + ncols
-    width = 2 * ncols + m  # w block, slack block, artificial block
-    rows = []
-    for i in range(n):
-        coeffs = [c.columns[j][i] for j in range(ncols)]
-        rhs = frac(target[i])
-        if rhs < 0:
-            coeffs = [-x for x in coeffs]
-            rhs = -rhs
-        rows.append(coeffs + [Fraction(0)] * ncols + [Fraction(0)] * m + [rhs])
-    for j in range(ncols):
-        row = [Fraction(0)] * width + [Fraction(1)]
-        row[j] = Fraction(1)
-        row[ncols + j] = Fraction(1)
-        rows.append(row)
-    for i in range(m):
-        rows[i][2 * ncols + i] = Fraction(1)
-    basis = [2 * ncols + i for i in range(m)]
-
-    # reduced costs for minimizing the artificial sum
-    red = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            red[j] -= rows[i][j]
-    for i in range(m):
-        red[2 * ncols + i] += Fraction(1)
-
-    while True:
-        enter = next(
-            (j for j in range(width) if j not in basis and red[j] < 0), None
-        )
-        if enter is None:
-            break
-        pivot_i = None
-        best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][width] / rows[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot_i]
-                ):
-                    best = ratio
-                    pivot_i = i
-        if pivot_i is None:
-            raise ConsistencyError("phase-1 objective unbounded below")
-        piv = rows[pivot_i][enter]
-        rows[pivot_i] = [x / piv for x in rows[pivot_i]]
-        for i in range(m):
-            if i != pivot_i and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_i])]
-        if red[enter] != 0:
-            f = red[enter]
-            red = [a - f * b for a, b in zip(red, rows[pivot_i])]
-        basis[pivot_i] = enter
-
-    if -red[width] != 0:  # leftover artificial mass: infeasible
-        return None
-    w = [Fraction(0)] * ncols
-    for i, b in enumerate(basis):
-        if b < ncols:
-            w[b] = rows[i][width]
-    return tuple(w)
-
-
 def zonotope_lattice(c: Config):
     """(True, sorted integer points of the column-sum zonotope) when the
-    configuration is unimodular, else (False, None)."""
+    configuration is unimodular, else (False, None).
+
+    The points are the distinct subset sums of the columns.  Their count
+    must equal the number of independent sets, which the rank oracle
+    counts without looking at the sums.
+    """
     if not is_unimodular(c):
         return False, None
-    lo = [sum(min(v[i], 0) for v in c.columns) for i in range(c.n)]
-    hi = [sum(max(v[i], 0) for v in c.columns) for i in range(c.n)]
-    points = []
-    for candidate in itertools.product(
-        *[range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
-    ):
-        w = _phase1_feasible(c, candidate)
-        if w is None:
-            continue
-        # re-check the witness; the simplex and the witness must agree
-        for i in range(c.n):
-            total = sum(c.columns[j][i] * w[j] for j in range(c.ncols))
-            if total != candidate[i]:
-                raise ConsistencyError(f"simplex witness fails at point {candidate}")
-        if any(x < 0 or x > 1 for x in w):
-            raise ConsistencyError(f"simplex witness out of the box at {candidate}")
-        points.append(candidate)
+    points = {(0,) * c.n}
+    for v in c.columns:
+        step = [int(x) for x in v]
+        points |= {tuple([a + b for a, b in zip(p, step)]) for p in points}
+    count = len(independents(c))
+    if len(points) != count:
+        raise ConsistencyError(
+            f"{len(points)} distinct subset sums of the columns, "
+            f"but {count} independent sets"
+        )
     return True, tuple(sorted(points))

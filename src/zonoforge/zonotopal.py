@@ -185,13 +185,23 @@ def central(c: Config) -> Bundle:
     qb = tuple((b, subset_polynomial(c, passive_set(c, b))) for b in bases(c))
     p_from_q = GradedSubspace.from_spanning(c.n, [q for _, q in qb])
     p_space = central_space(c)
-    _check(p_from_q == p_space, "central: passive-set products fail to span the short-set space")
+    _check(
+        p_from_q == p_space,
+        "central: passive-set products fail to span the short-set space",
+        p_from_q_hilbert=p_from_q.hilbert(),
+        p_space_hilbert=p_space.hilbert(),
+    )
     i_gens = central_i_gens(c)
     j_gens = cocircuit_gens(c)
     h_val = valuation_histogram(c, bases(c))
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
     _check_hilbert("central", h_val, h_alg, p_space)
-    _check(p_space.dim() == len(bases(c)), "central: dimension is not the basis count")
+    _check(
+        p_space.dim() == len(bases(c)),
+        "central: dimension is not the basis count",
+        dim=p_space.dim(),
+        n_bases=len(bases(c)),
+    )
     return Bundle(
         kind="central",
         config=c,
@@ -229,7 +239,12 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     qb = tuple((s, subset_polynomial(c, passive_set(c, s))) for s in fam)
     p_from_q = GradedSubspace.from_spanning(c.n, [q for _, q in qb])
     p_space = _family_short_space(c, fam)
-    _check(p_from_q == p_space, "semi-external: passive-set products fail to span")
+    _check(
+        p_from_q == p_space,
+        "semi-external: passive-set products fail to span",
+        p_from_q_hilbert=p_from_q.hilbert(),
+        p_space_hilbert=p_space.hilbert(),
+    )
 
     # power ideal: external facet powers, plus for every span S missed by the
     # family all degree-#(X off S) polynomials constant along S
@@ -266,7 +281,12 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     h_val = valuation_histogram(c, fam.members)
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
     _check_hilbert("semi-external", h_val, h_alg, p_space)
-    _check(p_space.dim() == len(fam), "semi-external: dimension is not the family size")
+    _check(
+        p_space.dim() == len(fam),
+        "semi-external: dimension is not the family size",
+        dim=p_space.dim(),
+        family_size=len(fam),
+    )
     return Bundle(
         kind="semi_external",
         config=c,
@@ -337,7 +357,12 @@ def semi_internal(c: Config, i_set) -> Bundle:
     h_val = valuation_histogram(c, bminus, order=order)
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
     _check_hilbert("semi-internal", h_val, h_alg, p_space)
-    _check(p_space.dim() == len(bminus), "semi-internal: dimension is not the restricted basis count")
+    _check(
+        p_space.dim() == len(bminus),
+        "semi-internal: dimension is not the restricted basis count",
+        dim=p_space.dim(),
+        n_restricted_bases=len(bminus),
+    )
     return Bundle(
         kind="semi_internal",
         config=c,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonoforge.config import bases, make_config
+from zonoforge.config import Config, bases, independents, make_config
 from zonoforge.errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -17,6 +20,7 @@ from zonoforge.errors import (
     UnknownBasis,
 )
 from zonoforge.geometry import (
+    _simplicity_witness,
     is_unimodular,
     least_space,
     make_arrangement,
@@ -24,6 +28,11 @@ from zonoforge.geometry import (
     vertex_set,
     zonotope_lattice,
 )
+from zonoforge.graded import GradedSubspace
+from zonoforge.linalg import frac, matrix, rref
+from zonoforge.poly import HPoly, monomials, multi_factorial
+
+
 def test_vertices_of_the_example(ex25):
     arr = make_arrangement(ex25)
     points = {p for _, p in arr.vertices}
@@ -34,7 +43,7 @@ def test_vertices_of_the_example(ex25):
         (one, -one, one),
         (-one, one, one),
     }
-    assert arr.simple
+    assert _simplicity_witness(arr.config, arr.offsets) is None
     assert len(arr.vertices) == len(bases(ex25))
 
 
@@ -147,6 +156,114 @@ def test_restriction_certificate_random_points():
         assert restriction_certificate(pts, space)["passed"]
 
 
+# Reference: the least map with the Taylor matrix truncated at the fixed
+# degree #points - 1 + extra, which never depends on where a rank test
+# stops; the oracle for the degree-incremental least_space.
+
+
+def _taylor_row(point, nvars: int, dmax: int) -> tuple:
+    row = []
+    for d in range(dmax + 1):
+        for exp in monomials(nvars, d):
+            val = Fraction(1)
+            for x, e in zip(point, exp):
+                val *= frac(x) ** e
+            row.append(val / multi_factorial(exp))
+    return tuple(row)
+
+
+def reference_least_space(points, extra: int = 0) -> GradedSubspace:
+    pts = [tuple(frac(x) for x in p) for p in points]
+    for i, p in enumerate(pts):
+        if p in pts[:i]:
+            raise DuplicatePoints(p)
+    if not pts:
+        return GradedSubspace.zero(0)
+    nvars = len(pts[0])
+    if any(len(p) != nvars for p in pts):
+        raise DimensionMismatch("points of mixed dimension")
+
+    dmax = max(len(pts) - 1, 0) + extra
+    while True:
+        rows = matrix([_taylor_row(p, nvars, dmax) for p in pts])
+        reduced, pivots = rref(rows)
+        if len(pivots) == len(pts):
+            break
+        dmax += 1  # cannot happen for distinct points, but stay safe
+
+    block_of = []
+    offsets = []
+    start = 0
+    for d in range(dmax + 1):
+        size = len(monomials(nvars, d))
+        offsets.append((start, start + size))
+        block_of.extend([d] * size)
+        start += size
+
+    leasts = []
+    for row, piv in zip(reduced, pivots):
+        d = block_of[piv]
+        lo, hi = offsets[d]
+        leasts.append(HPoly.from_coeff_vector(nvars, d, row[lo:hi]))
+    space = GradedSubspace.from_spanning(nvars, leasts)
+    if space.dim() != len(pts):
+        raise ConsistencyError(
+            f"least parts of {len(pts)} points span only {space.dim()} dimensions"
+        )
+    return space
+
+
+def assert_least_matches_reference(points):
+    expected = reference_least_space(points)
+    for extra in (0, 1, 2):
+        assert least_space(points, extra=extra) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_least_space_matches_fixed_truncation(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 4)
+    count = rng.randint(1, 10)
+    pts = set()
+    while len(pts) < count:
+        pts.add(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(nvars)))
+    assert_least_matches_reference(sorted(pts))
+
+
+def test_least_space_matches_fixed_truncation_degenerate(ex25):
+    # few directions among the points push the top degree up to #points - 1
+    line = [(k, 2 * k, -k) for k in range(-3, 5)]
+    assert_least_matches_reference(line)
+    assert least_space(line).hilbert() == (1,) * 8
+    assert_least_matches_reference([(Fraction(k, 3), 1 - Fraction(k, 3)) for k in range(9)])
+    plane = [(a, b, a + b) for a in range(3) for b in range(3)]
+    assert_least_matches_reference(plane)
+    assert_least_matches_reference([(a, b, 0, 1) for a in range(2) for b in range(4)])
+    assert_least_matches_reference([p for _, p in make_arrangement(ex25).vertices])
+
+
+def test_least_space_rank_short_of_full_is_a_consistency_error(monkeypatch):
+    import zonoforge.geometry as geometry
+
+    monkeypatch.setattr(geometry, "rank", lambda m: len(m) - 1)
+    msg = "Taylor matrix of 3 distinct points reached rank 2 by degree 2"
+    with pytest.raises(ConsistencyError, match=msg):
+        least_space([(0,), (1,), (2,)])
+
+
+@st.composite
+def point_sets(draw):
+    nvars = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return draw(st.lists(st.tuples(*[coord] * nvars), min_size=1, max_size=7, unique=True))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(point_sets())
+def test_least_space_matches_fixed_truncation_hypothesis(points):
+    assert_least_matches_reference(points)
+
+
 # -- zonotope lattice -------------------------------------------------------
 
 
@@ -219,3 +336,139 @@ def test_lattice_matches_brute_force_random():
                     image[0] += c.columns[j][0]
                     image[1] += c.columns[j][1]
             assert (int(image[0]), int(image[1])) in pts
+
+
+# Reference: the lattice points as the integer points of the bounding box
+# that an exact phase-1 simplex finds feasible for X w = p, 0 <= w <= 1;
+# the oracle for the subset-sum construction in zonotope_lattice.
+
+
+def reference_phase1_feasible(c: Config, target) -> tuple | None:
+    """Exact phase-1 simplex for  X w = target,  0 <= w <= 1.
+
+    Standard form: w_j + s_j = 1 turns the box into equalities; one
+    artificial variable per row; Bland's rule on both choices, so the walk
+    terminates.  Returns the w-vector on feasibility, None otherwise.
+    """
+    n, ncols = c.n, c.ncols
+    m = n + ncols
+    width = 2 * ncols + m  # w block, slack block, artificial block
+    rows = []
+    for i in range(n):
+        coeffs = [c.columns[j][i] for j in range(ncols)]
+        rhs = frac(target[i])
+        if rhs < 0:
+            coeffs = [-x for x in coeffs]
+            rhs = -rhs
+        rows.append(coeffs + [Fraction(0)] * ncols + [Fraction(0)] * m + [rhs])
+    for j in range(ncols):
+        row = [Fraction(0)] * width + [Fraction(1)]
+        row[j] = Fraction(1)
+        row[ncols + j] = Fraction(1)
+        rows.append(row)
+    for i in range(m):
+        rows[i][2 * ncols + i] = Fraction(1)
+    basis = [2 * ncols + i for i in range(m)]
+
+    # reduced costs for minimizing the artificial sum
+    red = [Fraction(0)] * (width + 1)
+    for i in range(m):
+        for j in range(width + 1):
+            red[j] -= rows[i][j]
+    for i in range(m):
+        red[2 * ncols + i] += Fraction(1)
+
+    while True:
+        enter = next(
+            (j for j in range(width) if j not in basis and red[j] < 0), None
+        )
+        if enter is None:
+            break
+        pivot_i = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][width] / rows[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[pivot_i]
+                ):
+                    best = ratio
+                    pivot_i = i
+        if pivot_i is None:
+            raise ConsistencyError("phase-1 objective unbounded below")
+        piv = rows[pivot_i][enter]
+        rows[pivot_i] = [x / piv for x in rows[pivot_i]]
+        for i in range(m):
+            if i != pivot_i and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_i])]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [a - f * b for a, b in zip(red, rows[pivot_i])]
+        basis[pivot_i] = enter
+
+    if -red[width] != 0:  # leftover artificial mass: infeasible
+        return None
+    w = [Fraction(0)] * ncols
+    for i, b in enumerate(basis):
+        if b < ncols:
+            w[b] = rows[i][width]
+    return tuple(w)
+
+
+def reference_box_scan(c: Config) -> tuple:
+    lo = [sum(min(v[i], 0) for v in c.columns) for i in range(c.n)]
+    hi = [sum(max(v[i], 0) for v in c.columns) for i in range(c.n)]
+    points = []
+    for candidate in itertools.product(
+        *[range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
+    ):
+        w = reference_phase1_feasible(c, candidate)
+        if w is None:
+            continue
+        # re-check the witness; the simplex and the witness must agree
+        for i in range(c.n):
+            total = sum(c.columns[j][i] * w[j] for j in range(c.ncols))
+            if total != candidate[i]:
+                raise ConsistencyError(f"simplex witness fails at point {candidate}")
+        if any(x < 0 or x > 1 for x in w):
+            raise ConsistencyError(f"simplex witness out of the box at {candidate}")
+        points.append(candidate)
+    return tuple(sorted(points))
+
+
+def random_unimodular(rng, n: int) -> Config:
+    """Unit vectors plus random 0/+-1 columns, repeated and negated copies."""
+    while True:
+        cols = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            v = tuple(rng.randint(-1, 1) for _ in range(n))
+            if any(v):
+                cols.append(v)
+        for _ in range(rng.randint(1, 2)):
+            v = rng.choice(cols)
+            cols.append(v if rng.random() < 0.5 else tuple(-x for x in v))
+        rng.shuffle(cols)
+        c = make_config([[col[i] for col in cols] for i in range(n)])
+        if is_unimodular(c):
+            return c
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("seed", range(8))
+def test_lattice_matches_simplex_box_scan(n, seed):
+    c = random_unimodular(random.Random(seed), n)
+    ok, points = zonotope_lattice(c)
+    assert ok
+    assert points == reference_box_scan(c)
+    assert len(points) == len(independents(c))
+    assert all(type(x) is int for p in points for x in p)
+
+
+def test_lattice_count_mismatch_is_a_consistency_error(monkeypatch):
+    import zonoforge.geometry as geometry
+
+    c = make_config([[1, 0, 1], [0, 1, 1]])
+    monkeypatch.setattr(geometry, "independents", lambda c: ((),))
+    with pytest.raises(ConsistencyError, match="7 distinct subset sums"):
+        zonotope_lattice(c)

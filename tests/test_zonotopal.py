@@ -344,3 +344,24 @@ def test_hilbert_disagreement_carries_all_three_vectors(monkeypatch):
     assert "h_val=(1, 2)" in msg
     assert "h_alg=(1, 1, 1)" in msg
     assert "p_space_hilbert=(1, 2)" in msg
+
+
+def test_span_disagreement_carries_both_hilbert_vectors(monkeypatch):
+    # the passive-set products span (1, 2); a short-set space of constants
+    # alone must be reported with both Hilbert functions
+    import zonoforge.zonotopal as zonotopal
+    from zonoforge.graded import GradedSubspace
+
+    c = make_config([[1, 0, 1], [0, 1, 1]])
+    constants = GradedSubspace.from_spanning(2, [HPoly.constant(2)])
+    monkeypatch.setattr(zonotopal, "central_space", lambda c: constants)
+    central.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError) as info:
+            central(c)
+    finally:
+        central.cache_clear()
+    msg = str(info.value)
+    assert msg.startswith("central: passive-set products fail to span the short-set space")
+    assert "p_from_q_hilbert=(1, 2)" in msg
+    assert "p_space_hilbert=(1,)" in msg
