@@ -6,6 +6,13 @@ Columns are addressed by index 0..N-1; a "column set" is a frozenset of
 indices.  Enumerations are returned in lexicographic bitmask order (subset S
 ordered by sum(2^i for i in S)), which makes every listing deterministic.
 
+Two tables carry every matroid query: the rank cache (`rank_of`, at most
+one elimination per configuration and column set) and the facet table
+(`facets`, one normal per spanned hyperplane).  Span tests and passive sets compare
+cached ranks, and internal activity looks the hyperplane of a subbasis
+up in the facet table; none of them eliminates per query.  A Config
+computes its hash once, so a cache lookup costs no rehash of its entries.
+
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
 columns after everything else (preserving index order within each block) --
@@ -15,13 +22,12 @@ the statements about I-internal bases need I to come last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
     BadB0,
-    ColoopInI,
+    ConsistencyError,
     DimensionMismatch,
     FamilyNotClosed,
     MissingB0,
@@ -79,6 +85,14 @@ class Config:
                 raise DimensionMismatch(
                     f"lambda_b0 has {len(self.lam_b0)} offsets, expected one per b0 vector ({n})"
                 )
+        # every cache lookup hashes its Config; hashing the Fractions each
+        # time would cost more than the lookup saves
+        object.__setattr__(
+            self, "_hash", hash((self.columns, self.b0, self.lam, self.lam_b0))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -158,16 +172,10 @@ def bases(c: Config) -> tuple:
     return tuple(s for s in independents(c) if len(s) == c.n)
 
 
-def span_contains(c: Config, cols, vec) -> bool:
-    rows = c.subset_rows(cols)
-    return rank(rows + (tuple(frac(x) for x in vec),)) == rank(rows)
-
-
 def span_le(c: Config, a, b) -> bool:
-    """span(columns a) contained in span(columns b)."""
-    rows_b = c.subset_rows(b)
-    rb = rank(rows_b)
-    return rank(rows_b + c.subset_rows(a)) == rb
+    """span(columns a) contained in span(columns b), read off the rank cache."""
+    b = frozenset(b)
+    return rank_of(c, b | frozenset(a)) == rank_of(c, b)
 
 
 # -- facet hyperplanes -------------------------------------------------------
@@ -220,7 +228,11 @@ def order_with_last(c: Config, i_set) -> tuple:
 
 
 def passive_set(c: Config, y, order=None) -> frozenset:
-    """Columns outside y not spanned by the earlier members of y."""
+    """Columns outside y not spanned by the earlier members of y.
+
+    x is spanned exactly when adding it leaves the rank unchanged, so each
+    test compares two entries of the rank cache and eliminates nothing.
+    """
     y = frozenset(y)
     order = index_order(c) if order is None else tuple(order)
     pos = {j: k for k, j in enumerate(order)}
@@ -228,8 +240,8 @@ def passive_set(c: Config, y, order=None) -> frozenset:
     for x in range(c.ncols):
         if x in y:
             continue
-        earlier = [j for j in y if pos[j] < pos[x]]
-        if not span_contains(c, earlier, c.columns[x]):
+        earlier = frozenset(j for j in y if pos[j] < pos[x])
+        if rank_of(c, earlier | {x}) != rank_of(c, earlier):
             out.add(x)
     return frozenset(out)
 
@@ -249,30 +261,46 @@ def valuation_histogram(c: Config, family, order=None) -> tuple:
     return tuple(hist)
 
 
-def _facet_of_subbasis(c: Config, cols) -> Facet:
-    """The facet spanned by a rank n-1 column set."""
-    normal = primitive_integer(nullspace(c.subset_rows(cols), ncols=c.n)[0])
-    for f in facets(c):
-        if f.normal == normal:
-            return f
-    raise AssertionError("facet table is missing a spanned hyperplane")
+def _subbasis_facets(c: Config) -> dict:
+    """(n-1)-column set -> the facet whose members contain it.
+
+    An independent (n-1)-set spans exactly one hyperplane, so its entry is
+    its facet.  Dependent sets may land in any facet holding them; the
+    activity test never asks for one.
+    """
+    return {
+        frozenset(sub): f
+        for f in facets(c)
+        for sub in combinations(sorted(f.members), c.n - 1)
+    }
 
 
-def _is_active(c: Config, b: int, basis, pos) -> bool:
+def _is_active(c: Config, b: int, basis, pos, facet_of: dict) -> bool:
     """b in basis is internally active: b is the order-largest column off
     the hyperplane spanned by basis - {b}."""
-    f = _facet_of_subbasis(c, frozenset(basis) - {b})
+    sub = frozenset(basis) - {b}
+    f = facet_of.get(sub)
+    if f is None:
+        raise ConsistencyError(
+            f"facet table has no hyperplane through the independent columns "
+            f"{sorted(sub)}: columns {[list(map(str, v)) for v in c.columns]}"
+        )
     outside = [x for x in range(c.ncols) if x not in f.members]
     return max(outside, key=pos.__getitem__) == b
 
 
 def internal_bases(c: Config, order=None) -> tuple:
-    """Bases with no internally active element (w.r.t. the given order)."""
+    """Bases with no internally active element (w.r.t. the given order).
+
+    Each basis - {b} is looked up in the facet table, built once per call;
+    no activity test eliminates.
+    """
     order = index_order(c) if order is None else tuple(order)
     pos = {j: k for k, j in enumerate(order)}
+    facet_of = _subbasis_facets(c)
     out = []
     for b_set in bases(c):
-        if not any(_is_active(c, b, b_set, pos) for b in b_set):
+        if not any(_is_active(c, b, b_set, pos, facet_of) for b in b_set):
             out.append(b_set)
     return tuple(out)
 
@@ -288,9 +316,10 @@ def i_internal_bases(c: Config, i_set) -> tuple:
         raise NotIndependent(i_set)
     order = order_with_last(c, i_set)
     pos = {j: k for k, j in enumerate(order)}
+    facet_of = _subbasis_facets(c)
     out = []
     for b_set in bases(c):
-        if not any(_is_active(c, b, b_set, pos) for b in b_set & i_set):
+        if not any(_is_active(c, b, b_set, pos, facet_of) for b in b_set & i_set):
             out.append(b_set)
     return tuple(out)
 
@@ -332,15 +361,6 @@ def semiexternal_close(c: Config, seeds) -> SemiExternalFamily:
         j for j in independents(c) if any(span_le(c, s, j) for s in base)
     }
     return SemiExternalFamily(tuple(members))
-
-
-def is_closed(c: Config, fam: SemiExternalFamily) -> bool:
-    member_set = set(fam.members)
-    for i_set in fam:
-        for j in independents(c):
-            if j not in member_set and span_le(c, i_set, j):
-                return False
-    return True
 
 
 def ensure_family(c: Config, fam: SemiExternalFamily) -> SemiExternalFamily:

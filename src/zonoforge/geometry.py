@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .config import Config, bases, independents
+from .config import Config, bases, independents, rank_of
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -55,11 +55,13 @@ def _simplicity_witness(c: Config, offsets) -> tuple | None:
     n = c.n
     for size in range(2, min(c.ncols, n + 1) + 1):
         for subset in itertools.combinations(range(c.ncols), size):
-            rows = [c.columns[j] for j in subset]
-            aug = [row + (offsets[j],) for row, j in zip(rows, subset)]
-            r_plain = rank(matrix(rows))
-            if rank(matrix(aug)) == r_plain and r_plain < size:
-                return subset
+            # independent rows make any right-hand side consistent with
+            # codimension #S, so only dependent subsets need the offsets
+            r_plain = rank_of(c, frozenset(subset))
+            if r_plain < size:
+                aug = [c.columns[j] + (offsets[j],) for j in subset]
+                if rank(matrix(aug)) == r_plain:
+                    return subset
     return None
 
 

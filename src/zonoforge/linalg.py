@@ -22,6 +22,9 @@ Matrix = tuple
 
 
 def frac(x) -> Fraction:
+    # Fractions are immutable, so one that is already exact is passed through
+    if type(x) is Fraction:
+        return x
     # floats are banned: they would silently poison the exact pipeline
     if isinstance(x, float):
         raise TypeError("floating point input is not allowed")

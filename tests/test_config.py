@@ -17,7 +17,6 @@ from zonoforge.config import (
     i_internal_bases,
     independents,
     internal_bases,
-    is_closed,
     is_coloop,
     is_independent,
     make_config,
@@ -173,13 +172,13 @@ def test_semiexternal_close_first_family(ex25, fam1):
         ]
     }
     assert set(fam1.members) == want
-    assert is_closed(ex25, fam1)
+    assert ensure_family(ex25, fam1) is fam1
 
 
 def test_semiexternal_close_second_family(ex25, fam2):
     assert len(fam2) == 8
     assert frozenset({0}) in set(fam2.members)
-    assert is_closed(ex25, fam2)
+    assert ensure_family(ex25, fam2) is fam2
 
 
 def test_full_family_is_all_independents(ex25):

@@ -29,7 +29,7 @@ from zonoforge.geometry import (
     zonotope_lattice,
 )
 from zonoforge.graded import GradedSubspace
-from zonoforge.linalg import frac, matrix, rref
+from zonoforge.linalg import frac, matrix, rank, rref
 from zonoforge.poly import HPoly, monomials, multi_factorial
 
 
@@ -80,6 +80,35 @@ def test_sampling_cannot_fix_parallel_equal_offsets():
     c = make_config([[1, 1, 0], [0, 0, 1]], lam=[1, 1, None])
     with pytest.raises(SamplingExhausted):
         make_arrangement(c)
+
+
+def reference_simplicity_witness(c: Config, offsets) -> tuple | None:
+    """The earlier check: plain and augmented rank of every subset."""
+    n = c.n
+    for size in range(2, min(c.ncols, n + 1) + 1):
+        for subset in itertools.combinations(range(c.ncols), size):
+            rows = [c.columns[j] for j in subset]
+            aug = [row + (offsets[j],) for row, j in zip(rows, subset)]
+            r_plain = rank(matrix(rows))
+            if rank(matrix(aug)) == r_plain and r_plain < size:
+                return subset
+    return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_simplicity_witness_matches_two_eliminations(seed):
+    # offsets in 0..2 make concurrent and parallel hyperplanes common
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    cols = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    while len(cols) < rng.randint(n + 1, n + 4):
+        v = tuple(rng.randint(-1, 2) for _ in range(n))
+        if any(v):
+            cols.append(v)
+    c = Config(tuple(cols))
+    for _ in range(6):
+        offsets = tuple(Fraction(rng.randint(0, 2)) for _ in cols)
+        assert _simplicity_witness(c, offsets) == reference_simplicity_witness(c, offsets)
 
 
 def test_explicit_offsets_override(triangle):

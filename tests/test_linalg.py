@@ -33,6 +33,13 @@ def test_frac_accepts_int_str_fraction():
     assert frac(Fraction(-5, 7)) == Fraction(-5, 7)
 
 
+def test_frac_passes_a_fraction_through_and_rejects_floats():
+    x = Fraction(3, 4)
+    assert frac(x) is x
+    with pytest.raises(TypeError):
+        frac(0.5)
+
+
 def test_rref_pivots_and_idempotence():
     m = matrix([[2, 4, 6], [1, 2, 4], [0, 0, 2]])
     reduced, pivots = rref(m)

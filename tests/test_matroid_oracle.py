@@ -1,0 +1,288 @@
+"""Matroid queries against the elimination routes they replaced.
+
+internal_bases / i_internal_bases read hyperplanes from the facet table,
+and passive_set / span_le compare entries of the rank cache.  The oracles
+below are verbatim copies of the earlier routes, which found each
+subbasis hyperplane by a nullspace normal and each span test by ranks of
+freshly built Fraction rows.  A direct definition of activity from
+`linalg.rank` alone, which never reads the facet table, is a third route.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zonoforge import config
+from zonoforge.config import (
+    Config,
+    Facet,
+    bases,
+    facets,
+    i_internal_bases,
+    independents,
+    index_order,
+    internal_bases,
+    is_independent,
+    order_with_last,
+    passive_set,
+    rank_of,
+    span_le,
+)
+from zonoforge.errors import ConsistencyError, NotIndependent
+from zonoforge.linalg import frac, nullspace, primitive_integer, rank
+
+
+# -- the earlier routes, verbatim ---------------------------------------------
+
+
+def span_contains(c: Config, cols, vec) -> bool:
+    rows = c.subset_rows(cols)
+    return rank(rows + (tuple(frac(x) for x in vec),)) == rank(rows)
+
+
+def reference_span_le(c: Config, a, b) -> bool:
+    """span(columns a) contained in span(columns b)."""
+    rows_b = c.subset_rows(b)
+    rb = rank(rows_b)
+    return rank(rows_b + c.subset_rows(a)) == rb
+
+
+def reference_passive_set(c: Config, y, order=None) -> frozenset:
+    """Columns outside y not spanned by the earlier members of y."""
+    y = frozenset(y)
+    order = index_order(c) if order is None else tuple(order)
+    pos = {j: k for k, j in enumerate(order)}
+    out = set()
+    for x in range(c.ncols):
+        if x in y:
+            continue
+        earlier = [j for j in y if pos[j] < pos[x]]
+        if not span_contains(c, earlier, c.columns[x]):
+            out.add(x)
+    return frozenset(out)
+
+
+def _facet_of_subbasis(c: Config, cols) -> Facet:
+    """The facet spanned by a rank n-1 column set."""
+    normal = primitive_integer(nullspace(c.subset_rows(cols), ncols=c.n)[0])
+    for f in facets(c):
+        if f.normal == normal:
+            return f
+    raise AssertionError("facet table is missing a spanned hyperplane")
+
+
+def _is_active(c: Config, b: int, basis, pos) -> bool:
+    """b in basis is internally active: b is the order-largest column off
+    the hyperplane spanned by basis - {b}."""
+    f = _facet_of_subbasis(c, frozenset(basis) - {b})
+    outside = [x for x in range(c.ncols) if x not in f.members]
+    return max(outside, key=pos.__getitem__) == b
+
+
+def reference_internal_bases(c: Config, order=None) -> tuple:
+    """Bases with no internally active element (w.r.t. the given order)."""
+    order = index_order(c) if order is None else tuple(order)
+    pos = {j: k for k, j in enumerate(order)}
+    out = []
+    for b_set in bases(c):
+        if not any(_is_active(c, b, b_set, pos) for b in b_set):
+            out.append(b_set)
+    return tuple(out)
+
+
+def reference_i_internal_bases(c: Config, i_set) -> tuple:
+    i_set = frozenset(i_set)
+    if not is_independent(c, i_set):
+        raise NotIndependent(i_set)
+    order = order_with_last(c, i_set)
+    pos = {j: k for k, j in enumerate(order)}
+    out = []
+    for b_set in bases(c):
+        if not any(_is_active(c, b, b_set, pos) for b in b_set & i_set):
+            out.append(b_set)
+    return tuple(out)
+
+
+# -- activity from its definition, without the facet table ------------------
+
+
+def defined_internal_bases(c: Config, order) -> tuple:
+    """b is active in B when no column after b (in order) leaves the span of B - b."""
+    pos = {j: k for k, j in enumerate(order)}
+    out = []
+    for b_set in bases(c):
+        active = False
+        for b in b_set:
+            rows = c.subset_rows(b_set - {b})
+            later_off = [
+                x for x in range(c.ncols)
+                if pos[x] > pos[b] and rank(rows + (c.columns[x],)) == c.n
+            ]
+            active = active or not later_off
+        if not active:
+            out.append(b_set)
+    return tuple(out)
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+def full_rank(cols, n) -> bool:
+    return rank(tuple(tuple(Fraction(x) for x in v) for v in cols)) == n
+
+
+def random_config(rng: random.Random, n: int, ncols: int) -> Config:
+    """Entries in -2..2, full rank, with repeated and negated columns mixed in."""
+    while True:
+        cols = []
+        while len(cols) < ncols:
+            kind = rng.random()
+            if cols and kind < 0.15:
+                cols.append(rng.choice(cols))
+            elif cols and kind < 0.3:
+                cols.append(tuple(-x for x in rng.choice(cols)))
+            else:
+                v = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(v):
+                    cols.append(v)
+        if full_rank(cols, n):
+            return Config(tuple(cols))
+
+
+def seeded_configs():
+    rng = random.Random(20261018)
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(8):
+            out.append(random_config(rng, n, rng.randint(n, 8)))
+    return out
+
+
+CONFIGS = seeded_configs()
+
+
+def check_against_oracles(c: Config, rng: random.Random):
+    order = list(range(c.ncols))
+    rng.shuffle(order)
+    order = tuple(order)
+
+    assert internal_bases(c) == reference_internal_bases(c)
+    assert internal_bases(c) == defined_internal_bases(c, index_order(c))
+    assert internal_bases(c, order) == reference_internal_bases(c, order)
+    assert internal_bases(c, order) == defined_internal_bases(c, order)
+
+    indeps = independents(c)
+    for i_set in rng.sample(indeps, min(4, len(indeps))) + [frozenset()]:
+        assert i_internal_bases(c, i_set) == reference_i_internal_bases(c, i_set)
+
+    subsets = [frozenset(s) for k in range(c.ncols + 1) for s in itertools.combinations(range(c.ncols), k)]
+    for y in subsets:
+        assert passive_set(c, y) == reference_passive_set(c, y)
+        assert passive_set(c, y, order) == reference_passive_set(c, y, order)
+
+    sample = rng.sample(subsets, min(12, len(subsets)))
+    for a in sample:
+        for b in sample:
+            assert span_le(c, a, b) == reference_span_le(c, a, b)
+
+
+@pytest.mark.parametrize("k", range(len(CONFIGS)))
+def test_matroid_queries_match_elimination_routes(k):
+    c = CONFIGS[k]
+    check_against_oracles(c, random.Random(k))
+
+
+def test_inputs_cover_repeats_negations_and_sizes():
+    shapes = {(c.n, c.ncols) for c in CONFIGS}
+    assert {n for n, _ in shapes} == {2, 3, 4}
+    assert max(N for _, N in shapes) == 8
+    assert any(len(set(c.columns)) < c.ncols for c in CONFIGS)
+    assert any(
+        tuple(-x for x in v) in set(c.columns) for c in CONFIGS for v in c.columns
+    )
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(2, 4))
+    entry = st.integers(-2, 2)
+    cols = []
+    for _ in range(draw(st.integers(1, 8 - n))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "negate"]))
+        if cols and kind != "fresh":
+            v = draw(st.sampled_from(cols))
+            cols.append(v if kind == "repeat" else tuple(-x for x in v))
+        else:
+            cols.append(draw(st.tuples(*[entry] * n).filter(any)))
+    # unit vectors fill up the rank, so no draw is thrown away and N <= 8
+    for i in range(n):
+        if full_rank(cols, n):
+            break
+        cols.append(tuple(int(i == j) for j in range(n)))
+    return Config(tuple(cols))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(configs(), st.integers(0, 2**16))
+def test_matroid_queries_match_elimination_routes_hypothesis(c, seed):
+    check_against_oracles(c, random.Random(seed))
+
+
+# -- the facet table is the only source of subbasis hyperplanes -------------
+
+
+@pytest.mark.parametrize(
+    "query",
+    [internal_bases, lambda c: i_internal_bases(c, {2})],
+    ids=["internal_bases", "i_internal_bases"],
+)
+def test_missing_facet_is_a_consistency_error(monkeypatch, ex25, query):
+    table = facets(ex25)
+    dropped = next(f for f in table if f.members == frozenset({0, 1}))
+    monkeypatch.setattr(config, "facets", lambda c: tuple(f for f in table if f is not dropped))
+    with pytest.raises(ConsistencyError) as info:
+        query(ex25)
+    msg = str(info.value)
+    assert "[0, 1]" in msg
+    assert str([list(map(str, v)) for v in ex25.columns]) in msg
+
+
+# -- one hash per Config --------------------------------------------------------
+
+
+def test_int_and_fraction_configs_share_hash_and_rank_cache():
+    ints = Config(((3, 7), (5, -11), (2, 9)), lam=(1, 2, 3))
+    fracs = Config(
+        tuple(tuple(Fraction(x) for x in v) for v in ((3, 7), (5, -11), (2, 9))),
+        lam=(Fraction(1), Fraction(2), Fraction(3)),
+    )
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert hash(ints) == hash((ints.columns, ints.b0, ints.lam, ints.lam_b0))
+    cols = frozenset({0, 2})
+    before = rank_of.cache_info()
+    assert rank_of(ints, cols) == 2
+    middle = rank_of.cache_info()
+    assert rank_of(fracs, cols) == 2
+    after = rank_of.cache_info()
+    assert after.hits == middle.hits + 1 and after.misses == middle.misses
+    assert after.currsize == middle.currsize <= before.currsize + 1
+
+
+def test_derived_config_keeps_the_same_entry_objects():
+    c = Config(((Fraction(1, 2), 0), (0, Fraction(3, 4))))
+    again = Config(c.columns)
+    assert again == c and hash(again) == hash(c)
+    assert all(x is y for u, v in zip(c.columns, again.columns) for x, y in zip(u, v))
+
+
+def test_configs_that_differ_only_in_offsets_are_distinct():
+    a = Config(((1, 0), (0, 1)), lam=(1, 2))
+    b = Config(((1, 0), (0, 1)), lam=(1, 3))
+    assert a != b
+    assert Config(((1, 0), (0, 1))) != a
