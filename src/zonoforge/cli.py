@@ -33,7 +33,7 @@ from .config import (
 )
 from .errors import InputError, ZonoforgeError
 from .graded import kernel
-from .verify import run_theorem, search_internal_extension
+from .verify import BATTERIES, THEOREMS, run_theorem, search_internal_extension
 from .zonotopal import bundle_for
 
 DOC_FIELDS = ("matrix", "b0", "lambda", "lambda_b0", "iprime", "iprime_closed", "i", "seed")
@@ -197,15 +197,11 @@ def cmd_matroid(c: Config, meta) -> dict:
 
 
 def cmd_space(c: Config, meta, kind: str, dmax=None) -> dict:
-    if kind == "semi_external" and meta["iprime"] is None:
-        raise InputError("kind semi_external needs the iprime field in the input")
-    if kind == "semi_internal" and meta["i"] is None:
-        raise InputError("kind semi_internal needs the index list i in the input")
     bundle = bundle_for(
         c,
         kind,
         fam=_family(c, meta) if kind == "semi_external" else None,
-        i_set=frozenset(meta["i"]) if kind == "semi_internal" else None,
+        i_set=None if meta["i"] is None else frozenset(meta["i"]),
     )
     result = {
         "kind": bundle.kind,
@@ -246,7 +242,8 @@ def cmd_space(c: Config, meta, kind: str, dmax=None) -> dict:
 
 
 def cmd_verify(c: Config, meta, theorem: str, seed: int, dmax=None) -> dict:
-    fam = _family(c, meta) if theorem in ("t26", "t28") else None
+    needs = BATTERIES[theorem][1] if theorem in BATTERIES else None
+    fam = _family(c, meta) if needs == "family" else None
     return run_theorem(
         theorem,
         c,
@@ -351,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run one theorem's certificate battery")
     common(p_ver)
-    p_ver.add_argument("--theorem", required=True, help="th1|exzono|pi|plus|basis|explus|t26|t28|t33|t34|r37")
+    p_ver.add_argument("--theorem", required=True, help="|".join(THEOREMS))
     p_ver.add_argument(
         "--dmax", type=int, default=None, help="override the direct-sum certificate depth"
     )

@@ -102,9 +102,6 @@ class Config:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def column(self, i: int):
-        return self.columns[i]
-
     def subset_rows(self, cols) -> tuple:
         """The chosen columns as matrix rows, in index order."""
         return tuple(self.columns[i] for i in sorted(cols))
@@ -186,9 +183,6 @@ class Facet:
     members: frozenset        # columns lying on the hyperplane
     normal: tuple             # primitive integer normal, first nonzero positive
     mult: int                 # number of columns off the hyperplane
-
-    def contains_all(self, cols) -> bool:
-        return all(i in self.members for i in cols)
 
 
 @lru_cache(maxsize=None)

@@ -100,10 +100,6 @@ class IdealGens:
         ordered = tuple(uniq[k] for k in sorted(uniq))
         return cls(nvars, ordered)
 
-    def min_degree(self) -> int | None:
-        return min((g.degree for g in self.gens), default=None)
-
-
 def ideal_component(gens: IdealGens, d: int) -> tuple:
     """Canonical row basis of the ideal's degree-d component."""
     rows = []
@@ -160,7 +156,10 @@ def hilbert_quotient(gens: IdealGens, cap: int = 40) -> tuple:
 
 
 def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    """Degreewise intersection via complement-of-sum-of-complements."""
+    """Degreewise intersection by Zassenhaus' trick: reduce [u | u] for u in A
+    over [v | 0] for v in B.  A combination reads [u + v | u], zero on the left
+    exactly when u = -v lies in both, so the right halves of the reduced rows
+    pivoting in the right half span A meet B."""
     if a.nvars != b.nvars:
         raise DimensionMismatch("intersection across different rings")
     comps = {}
@@ -168,10 +167,10 @@ def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
         basis_b = b.component(d)
         if not basis_b:
             continue
-        ncols = component_dim(a.nvars, d)
-        comp_a = nullspace(basis_a, ncols=ncols)
-        comp_b = nullspace(basis_b, ncols=ncols)
-        comps[d] = nullspace(comp_a + comp_b, ncols=ncols)
+        m = len(basis_a[0])
+        zeros = (Fraction(0),) * m
+        red, piv = rref(tuple(u + u for u in basis_a) + tuple(v + zeros for v in basis_b))
+        comps[d] = [row[m:] for row, p in zip(red, piv) if p >= m]
     return GradedSubspace.from_components(a.nvars, comps)
 
 
@@ -184,10 +183,6 @@ def add(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return GradedSubspace.from_components(a.nvars, comps)
 
 
-def equals(a: GradedSubspace, b: GradedSubspace) -> bool:
-    return a == b
-
-
 def contains(a: GradedSubspace, b: GradedSubspace) -> bool:
     """Every component of b lies inside the matching component of a."""
     for d, basis_b in b.comps:
@@ -195,10 +190,6 @@ def contains(a: GradedSubspace, b: GradedSubspace) -> bool:
         if len(row_basis(basis_a + basis_b)) != len(basis_a):
             return False
     return True
-
-
-def space_dim(a: GradedSubspace) -> int:
-    return a.dim()
 
 
 def direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: int | None = None) -> dict:

@@ -43,23 +43,8 @@ def matrix(rows) -> Matrix:
     return out
 
 
-def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
-    if not m:
-        return tuple(() for _ in range(ncols or 0))
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
-
-
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def mat_vec(m: Matrix, v) -> Vector:
-    return tuple(dot(row, v) for row in m)
 
 
 class _Ints(dict):
@@ -235,8 +220,3 @@ def primitive_integer(v) -> tuple[int, ...]:
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
-
-
-def in_row_space(m: Matrix, v) -> bool:
-    base = row_basis(m)
-    return len(row_basis(base + (tuple(v),))) == len(base)

@@ -17,15 +17,10 @@ from .config import (
     SemiExternalFamily,
     bases,
     extend_basis,
-    i_internal_bases,
     independents,
-    internal_bases,
     is_coloop,
     is_independent,
     normal_power_condition,
-    order_with_last,
-    passive_set,
-    subset_polynomial,
     valuation,
 )
 from .errors import ConsistencyError, InputError
@@ -38,46 +33,29 @@ from .geometry import (
 )
 from .graded import (
     GradedSubspace,
-    add,
+    IdealGens,
     direct_sum_certificate,
     hilbert_quotient,
     ideal_contains,
     ideals_equal,
-    intersect,
     kernel,
 )
 from .linalg import matrix, rank
 from .zonotopal import (
-    _delete,
     central,
-    central_space,
     codimension_counts,
     d_space,
     dual_pairing_certificate,
     external,
-    external_i_gens,
+    facet_powers,
     full_span_space,
     internal_extension_check,
-    internal_space,
     minimal_completion_sum,
+    r37_sides,
     semi_external,
     semi_internal,
     semi_internal_i_gens,
     stabilization_cap,
-)
-
-THEOREMS = (
-    "th1",
-    "exzono",
-    "pi",
-    "plus",
-    "basis",
-    "explus",
-    "t26",
-    "t28",
-    "t33",
-    "t34",
-    "r37",
 )
 
 SEARCH_MAX_N = 3
@@ -161,7 +139,7 @@ def _kernel_row(bundle) -> dict:
     )
 
 
-def _verify_th1(c: Config, seed: int) -> list:
+def _verify_th1(c: Config, given, seed: int, dmax) -> list:
     rep = codimension_counts(c)
     return [
         _row(
@@ -174,7 +152,7 @@ def _verify_th1(c: Config, seed: int) -> list:
     ]
 
 
-def _verify_exzono(c: Config, seed: int, dmax=None) -> list:
+def _verify_exzono(c: Config, given, seed: int, dmax) -> list:
     b = central(c)
     rows = [
         _row(
@@ -195,7 +173,7 @@ def _verify_exzono(c: Config, seed: int, dmax=None) -> list:
     return rows
 
 
-def _verify_pi(c: Config, seed: int) -> list:
+def _verify_pi(c: Config, given, seed: int, dmax) -> list:
     arr = make_arrangement(c, c.lam, seed)
     pts = vertex_set(arr, bases(c))
     ls = least_space(pts)
@@ -228,8 +206,8 @@ def _verify_pi(c: Config, seed: int) -> list:
     ]
 
 
-def _verify_plus(c: Config, seed: int) -> list:
-    gens = external_i_gens(c)
+def _verify_plus(c: Config, given, seed: int, dmax) -> list:
+    gens = IdealGens.make(c.n, facet_powers(c, lambda f: f.mult + 1))
     h = hilbert_quotient(gens, cap=stabilization_cap(c))
     p = full_span_space(c)
     count = len(independents(c))
@@ -273,7 +251,7 @@ def _verify_plus(c: Config, seed: int) -> list:
     return rows
 
 
-def _verify_basis(c: Config, seed: int) -> list:
+def _verify_basis(c: Config, given, seed: int, dmax) -> list:
     b = central(c)
     degrees_ok = all(q.degree == valuation(c, cols) for cols, q in b.q_basis)
     rng = random.Random(seed)
@@ -303,7 +281,7 @@ def _verify_basis(c: Config, seed: int) -> list:
     ]
 
 
-def _verify_explus(c: Config, seed: int, dmax=None) -> list:
+def _verify_explus(c: Config, given, seed: int, dmax) -> list:
     b = external(c)
     rows = [
         _row(
@@ -339,7 +317,7 @@ def _verify_explus(c: Config, seed: int, dmax=None) -> list:
     return rows
 
 
-def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax=None) -> list:
+def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
     b = semi_external(c, fam)
     fam = b.family
     rows = [
@@ -364,7 +342,7 @@ def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax=None) -> lis
     return rows
 
 
-def _verify_t28(c: Config, fam: SemiExternalFamily, seed: int) -> list:
+def _verify_t28(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
     b = semi_external(c, fam)
     fam = b.family
     holds, witness = normal_power_condition(c, fam)
@@ -407,7 +385,7 @@ def _verify_t28(c: Config, fam: SemiExternalFamily, seed: int) -> list:
     return rows
 
 
-def _verify_t33(c: Config, i_set, seed: int) -> list:
+def _verify_t33(c: Config, i_set, seed: int, dmax) -> list:
     b = semi_internal(c, i_set)
     count = len(b.b_minus) if b.b_minus is not None else len(bases(c))
     return [
@@ -422,7 +400,7 @@ def _verify_t33(c: Config, i_set, seed: int) -> list:
     ]
 
 
-def _verify_t34(c: Config, i_set, seed: int, dmax=None) -> list:
+def _verify_t34(c: Config, i_set, seed: int, dmax) -> list:
     b = semi_internal(c, i_set)
     fam_bases = b.b_minus if b.b_minus is not None else bases(c)
     arr = make_arrangement(c, c.lam, seed)
@@ -436,14 +414,10 @@ def _verify_t34(c: Config, i_set, seed: int, dmax=None) -> list:
     ]
 
 
-def _verify_r37(c: Config, i_set, seed: int) -> list:
+def _verify_r37(c: Config, i_set, seed: int, dmax) -> list:
     rep = internal_extension_check(c, i_set)
-    if "skipped" in rep:
-        passed = True
-    elif rep["mode"] == "assert":
-        passed = rep["equal"]
-    else:
-        passed = True
+    # only a computed equality in assert mode can fail the row
+    passed = "skipped" in rep or rep["mode"] == "explore" or rep["equal"]
     return [
         _row(
             "deletion-intersection space matches the patched all-deletions space",
@@ -451,6 +425,26 @@ def _verify_r37(c: Config, i_set, seed: int) -> list:
             **rep,
         )
     ]
+
+
+# token -> (battery, the input it needs: None, "family" or "i"); every
+# battery takes (config, that input, seed, dmax)
+BATTERIES = {
+    "th1": (_verify_th1, None),
+    "exzono": (_verify_exzono, None),
+    "pi": (_verify_pi, None),
+    "plus": (_verify_plus, None),
+    "basis": (_verify_basis, None),
+    "explus": (_verify_explus, None),
+    "t26": (_verify_t26, "family"),
+    "t28": (_verify_t28, "family"),
+    "t33": (_verify_t33, "i"),
+    "t34": (_verify_t34, "i"),
+    "r37": (_verify_r37, "i"),
+}
+
+THEOREMS = tuple(BATTERIES)
+_INPUT_NAMES = {"family": "the iprime family", "i": "the index list i"}
 
 
 def run_theorem(
@@ -461,37 +455,15 @@ def run_theorem(
     seed: int = 0,
     dmax=None,
 ) -> dict:
-    if token not in THEOREMS:
+    if token not in BATTERIES:
         raise InputError(
             f"unknown theorem {token!r}; expected one of {', '.join(THEOREMS)}"
         )
-    if token in ("t26", "t28") and fam is None:
-        raise InputError(f"theorem {token} needs the iprime family in the input")
-    if token in ("t33", "t34", "r37") and i_set is None:
-        raise InputError(f"theorem {token} needs the index list i in the input")
-
-    if token == "th1":
-        checks = _verify_th1(c, seed)
-    elif token == "exzono":
-        checks = _verify_exzono(c, seed, dmax)
-    elif token == "pi":
-        checks = _verify_pi(c, seed)
-    elif token == "plus":
-        checks = _verify_plus(c, seed)
-    elif token == "basis":
-        checks = _verify_basis(c, seed)
-    elif token == "explus":
-        checks = _verify_explus(c, seed, dmax)
-    elif token == "t26":
-        checks = _verify_t26(c, fam, seed, dmax)
-    elif token == "t28":
-        checks = _verify_t28(c, fam, seed)
-    elif token == "t33":
-        checks = _verify_t33(c, frozenset(i_set), seed)
-    elif token == "t34":
-        checks = _verify_t34(c, frozenset(i_set), seed, dmax)
-    else:
-        checks = _verify_r37(c, frozenset(i_set), seed)
+    battery, needs = BATTERIES[token]
+    given = {"family": fam, "i": i_set}.get(needs)
+    if needs is not None and given is None:
+        raise InputError(f"theorem {token} needs {_INPUT_NAMES[needs]} in the input")
+    checks = battery(c, given, seed, dmax)
     return {
         "theorem": token,
         "checks": checks,
@@ -499,30 +471,10 @@ def run_theorem(
     }
 
 
-def _r37_spaces(c: Config, i_set):
-    """Both sides of the patched-extension identity, computed from scratch."""
-    lhs = None
-    for b in sorted(i_set):
-        piece = central_space(_delete(c, b))
-        lhs = piece if lhs is None else intersect(lhs, piece)
-    if lhs is None:
-        lhs = central_space(c)
-
-    order = order_with_last(c, i_set)
-    plain = set(internal_bases(c, order=order))
-    extra = [
-        subset_polynomial(c, passive_set(c, b, order))
-        for b in i_internal_bases(c, i_set)
-        if b not in plain
-    ]
-    rhs = add(internal_space(c), GradedSubspace.from_spanning(c.n, extra))
-    return lhs, rhs
-
-
 def _confirm_violation(c: Config, i_set) -> tuple:
     """Re-derive the left side through the power-ideal kernel before trusting
     a reported inequality; the two primal routes must agree with each other."""
-    lhs, rhs = _r37_spaces(c, i_set)
+    lhs, rhs, _, _ = r37_sides(c, i_set)
     gens = semi_internal_i_gens(c, i_set)
     h = hilbert_quotient(gens, cap=stabilization_cap(c))
     dmax = max(lhs.top_degree(), rhs.top_degree(), len(h))

@@ -11,12 +11,19 @@ an independent set whose columns are moved last in the activity order).
 Every constructor computes the Hilbert function three ways -- valuation
 histogram, power-ideal quotient, primal-space dimensions -- and raises
 ConsistencyError if they disagree: the artifact is its own theorem checker.
+
+Shared routes, one owner each: `facet_powers` builds every power ideal's
+facet-normal powers; `deletion_intersection` intersects the central spaces
+of single-column deletions (the semi-internal space for I, and with every
+column the internal space); `r37_sides` computes both sides of the
+patched-extension identity for `internal_extension_check` and for the
+re-verification in `verify`; `_check_i_set` validates an index set I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .config import (
     Config,
@@ -39,9 +46,9 @@ from .config import (
     subset_polynomial,
     valuation_histogram,
 )
-from .errors import ColoopInI, ConditionFails, ConsistencyError, MissingB0, NotIndependent
+from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, MissingB0, NotIndependent
 from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
-from .linalg import rank as mat_rank
+from .linalg import rank as mat_rank, row_basis
 from .poly import HPoly, pair, perp_space_gens
 from .config import normal_power_condition, span_le
 
@@ -155,20 +162,15 @@ def full_span_space(c: Config) -> GradedSubspace:
     return GradedSubspace.from_spanning(c.n, polys)
 
 
-def _normal_power(c: Config, facet, power: int) -> HPoly:
-    return HPoly.linear_form(facet.normal) ** power
-
-
-def central_i_gens(c: Config) -> IdealGens:
-    return IdealGens.make(c.n, [_normal_power(c, f, f.mult) for f in facets(c)])
-
-
-def external_i_gens(c: Config) -> IdealGens:
-    return IdealGens.make(c.n, [_normal_power(c, f, f.mult + 1) for f in facets(c)])
-
-
-def internal_i_gens(c: Config) -> IdealGens:
-    return IdealGens.make(c.n, [_normal_power(c, f, f.mult - 1) for f in facets(c)])
+def facet_powers(c: Config, exponent) -> list:
+    """Each facet normal raised to exponent(facet); a facet whose exponent
+    is None contributes nothing.  Every power ideal is built from these."""
+    out = []
+    for f in facets(c):
+        e = exponent(f)
+        if e is not None:
+            out.append(HPoly.linear_form(f.normal) ** e)
+    return out
 
 
 def cocircuit_gens(c: Config) -> IdealGens:
@@ -191,7 +193,7 @@ def central(c: Config) -> Bundle:
         p_from_q_hilbert=p_from_q.hilbert(),
         p_space_hilbert=p_space.hilbert(),
     )
-    i_gens = central_i_gens(c)
+    i_gens = IdealGens.make(c.n, facet_powers(c, lambda f: f.mult))
     j_gens = cocircuit_gens(c)
     h_val = valuation_histogram(c, bases(c))
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
@@ -224,12 +226,6 @@ def _family_short_space(c: Config, fam: SemiExternalFamily) -> GradedSubspace:
     return GradedSubspace.from_spanning(c.n, [subset_polynomial(c, y) for y in shorts])
 
 
-def _span_key(c: Config, cols):
-    from .linalg import row_basis
-
-    return row_basis(c.subset_rows(cols))
-
-
 def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     if c.b0 is None:
         raise MissingB0()
@@ -248,11 +244,11 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
 
     # power ideal: external facet powers, plus for every span S missed by the
     # family all degree-#(X off S) polynomials constant along S
-    gens = [_normal_power(c, f, f.mult + 1) for f in facets(c)]
+    gens = facet_powers(c, lambda f: f.mult + 1)
     missing = {}
     for i_set in independents(c):
         if i_set not in member_set:
-            missing.setdefault(_span_key(c, i_set), i_set)
+            missing.setdefault(row_basis(c.subset_rows(i_set)), i_set)
     for key in sorted(missing, key=lambda m: (len(m), m)):
         rep = missing[key]
         off = sum(
@@ -262,15 +258,15 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     i_gens = IdealGens.make(c.n, gens)
 
     # pure-power variant: raise the exponent exactly on facets the family spans
-    eps_gens = []
-    for f in facets(c):
+    def eps_exponent(f):
         spanned = any(
             s in member_set
             for s in independents(c)
             if len(s) == c.n - 1 and s <= f.members
         )
-        eps_gens.append(_normal_power(c, f, f.mult + (1 if spanned else 0)))
-    ieps = IdealGens.make(c.n, eps_gens)
+        return f.mult + (1 if spanned else 0)
+
+    ieps = IdealGens.make(c.n, facet_powers(c, eps_exponent))
 
     cover_family = [extend_basis(c, s) for s in fam]
     j_gens = IdealGens.make(
@@ -308,13 +304,17 @@ def external(c: Config) -> Bundle:
 def semi_internal_i_gens(c: Config, i_set) -> IdealGens:
     """Central powers plus the once-reduced powers on facets not containing I."""
     i_set = frozenset(i_set)
-    gens = [_normal_power(c, f, f.mult) for f in facets(c)]
-    gens += [
-        _normal_power(c, f, f.mult - 1)
-        for f in facets(c)
-        if not i_set <= f.members
-    ]
+    gens = facet_powers(c, lambda f: f.mult)
+    gens += facet_powers(c, lambda f: None if i_set <= f.members else f.mult - 1)
     return IdealGens.make(c.n, gens)
+
+
+def deletion_intersection(c: Config, cols) -> GradedSubspace:
+    """Intersection of the central spaces of the deletions X - x, x in cols
+    (each a non-coloop); the central space of X itself when cols is empty."""
+    if not cols:
+        return central_space(c)
+    return reduce(intersect, (central_space(_delete(c, x)) for x in sorted(cols)))
 
 
 @lru_cache(maxsize=None)
@@ -324,30 +324,27 @@ def internal_space(c: Config) -> GradedSubspace:
     Only defined when no column is a coloop (every deletion keeps full rank);
     callers check that before calling.
     """
-    space = None
-    for x in range(c.ncols):
-        piece = central_space(_delete(c, x))
-        space = piece if space is None else intersect(space, piece)
-    return space
+    return deletion_intersection(c, range(c.ncols))
 
 
-def semi_internal(c: Config, i_set) -> Bundle:
-    i_set = frozenset(i_set)
-    if not i_set:
-        return central(c)
+def _check_i_set(c: Config, i_set: frozenset) -> None:
+    """I must be independent and hold no coloop."""
     if not is_independent(c, i_set):
         raise NotIndependent(i_set)
     for b in sorted(i_set):
         if is_coloop(c, b):
             raise ColoopInI(b)
 
+
+def semi_internal(c: Config, i_set) -> Bundle:
+    i_set = frozenset(i_set)
+    if not i_set:
+        return central(c)
+    _check_i_set(c, i_set)
+
     order = order_with_last(c, i_set)
     bminus = i_internal_bases(c, i_set)
-
-    p_space = None
-    for b in sorted(i_set):
-        piece = central_space(_delete(c, b))
-        p_space = piece if p_space is None else intersect(p_space, piece)
+    p_space = deletion_intersection(c, i_set)
 
     i_gens = semi_internal_i_gens(c, i_set)
     j_gens = IdealGens.make(
@@ -385,10 +382,12 @@ def bundle_for(c: Config, kind: str, fam: SemiExternalFamily | None = None, i_se
         return external(c)
     if kind == "semi_external":
         if fam is None:
-            raise ConsistencyError("semi_external needs a family")
+            raise InputError("kind semi_external needs the iprime field in the input")
         return semi_external(c, fam)
     if kind == "semi_internal":
-        return semi_internal(c, i_set if i_set is not None else frozenset())
+        if i_set is None:
+            raise InputError("kind semi_internal needs the index list i in the input")
+        return semi_internal(c, i_set)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -423,25 +422,14 @@ def minimal_completion_sum(c: Config, fam: SemiExternalFamily, require_condition
     holds, witness = normal_power_condition(c, fam)
     if require_condition and not holds:
         raise ConditionFails(witness)
-    member_set = set(fam.members)
-    minimals = []
-    for i_set in fam:
-        elems = sorted(i_set)
-        proper = False
-        for mask in range(1 << len(elems)):
-            sub = frozenset(elems[k] for k in range(len(elems)) if mask >> k & 1)
-            if sub != i_set and sub in member_set:
-                proper = True
-                break
-        if not proper:
-            minimals.append(i_set)
     total = GradedSubspace.zero(c.n)
-    for i_set in minimals:
-        inter = None
-        for b in bases(c):
-            if i_set <= b:
-                piece = central_space(_augment(c, b - i_set))
-                inter = piece if inter is None else intersect(inter, piece)
+    for i_set in fam:
+        if any(m < i_set for m in fam):
+            continue
+        inter = reduce(
+            intersect,
+            (central_space(_augment(c, b - i_set)) for b in bases(c) if i_set <= b),
+        )
         total = add(total, inter)
     return total
 
@@ -454,11 +442,7 @@ def internal_extension_check(c: Config, i_set) -> dict:
     is exploratory (the report carries the verdict either way).
     """
     i_set = frozenset(i_set)
-    if not is_independent(c, i_set):
-        raise NotIndependent(i_set)
-    for b in sorted(i_set):
-        if is_coloop(c, b):
-            raise ColoopInI(b)
+    _check_i_set(c, i_set)
     report = {
         "i": sorted(i_set),
         "size": len(i_set),
@@ -470,38 +454,36 @@ def internal_extension_check(c: Config, i_set) -> dict:
         )
         return report
 
-    order = order_with_last(c, i_set)
-    b_plain = internal_bases(c, order=order)
-    b_rel = i_internal_bases(c, i_set)
-
-    if i_set:
-        lhs = None
-        for b in sorted(i_set):
-            piece = central_space(_delete(c, b))
-            lhs = piece if lhs is None else intersect(lhs, piece)
-    else:
-        lhs = central_space(c)
-
-    p_minus = internal_space(c)
-
-    plain_set = set(b_plain)
-    extra = [
-        subset_polynomial(c, passive_set(c, b, order))
-        for b in b_rel
-        if b not in plain_set
-    ]
-    rhs = add(p_minus, GradedSubspace.from_spanning(c.n, extra))
-
+    lhs, rhs, n_plain, n_restricted = r37_sides(c, i_set)
     report.update(
         {
             "equal": lhs == rhs,
             "lhs_hilbert": list(lhs.hilbert()),
             "rhs_hilbert": list(rhs.hilbert()),
-            "restricted_bases": len(b_rel),
-            "plain_bases": len(b_plain),
+            "restricted_bases": n_restricted,
+            "plain_bases": n_plain,
         }
     )
     return report
+
+
+def r37_sides(c: Config, i_set) -> tuple:
+    """Both sides of the patched-extension identity and the counts of plain
+    and I-restricted internal bases: the deletion intersection over I, and the
+    internal space plus the passive-set products of the I-restricted internal
+    bases not internal in the order with I last.  No column may be a coloop."""
+    i_set = frozenset(i_set)
+    order = order_with_last(c, i_set)
+    b_plain = set(internal_bases(c, order=order))
+    b_rel = i_internal_bases(c, i_set)
+    extra = [
+        subset_polynomial(c, passive_set(c, b, order))
+        for b in b_rel
+        if b not in b_plain
+    ]
+    lhs = deletion_intersection(c, i_set)
+    rhs = add(internal_space(c), GradedSubspace.from_spanning(c.n, extra))
+    return lhs, rhs, len(b_plain), len(b_rel)
 
 
 def codimension_counts(c: Config) -> dict:
@@ -509,11 +491,12 @@ def codimension_counts(c: Config) -> dict:
     counts they must reproduce (bases / independents / internal bases)."""
     cap = stabilization_cap(c)
     rows = []
-    for label, gens, count in (
-        ("central", central_i_gens(c), len(bases(c))),
-        ("external", external_i_gens(c), len(independents(c))),
-        ("internal", internal_i_gens(c), len(internal_bases(c))),
+    for label, shift, count in (
+        ("central", 0, len(bases(c))),
+        ("external", 1, len(independents(c))),
+        ("internal", -1, len(internal_bases(c))),
     ):
+        gens = IdealGens.make(c.n, facet_powers(c, lambda f: f.mult + shift))
         codim = sum(hilbert_quotient(gens, cap=cap))
         rows.append(
             {"kind": label, "codim": codim, "count": count, "equal": codim == count}

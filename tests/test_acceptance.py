@@ -28,7 +28,7 @@ from zonoforge.geometry import (
     vertex_set,
     zonotope_lattice,
 )
-from zonoforge.graded import contains, equals, hilbert_quotient, ideals_equal, kernel
+from zonoforge.graded import contains, hilbert_quotient, ideals_equal, kernel
 from zonoforge.poly import HPoly
 from zonoforge.verify import run_theorem
 from zonoforge.zonotopal import (

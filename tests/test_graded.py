@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonoforge.errors import NoStabilization
+from zonoforge.errors import DimensionMismatch, NoStabilization
 from zonoforge.graded import (
     GradedSubspace,
     IdealGens,
@@ -14,7 +17,6 @@ from zonoforge.graded import (
     component_dim,
     contains,
     direct_sum_certificate,
-    equals,
     hilbert_quotient,
     ideal_component,
     ideal_contains,
@@ -22,6 +24,7 @@ from zonoforge.graded import (
     intersect,
     kernel,
 )
+from zonoforge.linalg import nullspace
 from zonoforge.poly import HPoly, monomials
 
 
@@ -40,7 +43,7 @@ def test_from_spanning_is_canonical():
     t2 = HPoly.linear_form((0, 1))
     a = GradedSubspace.from_spanning(2, [t1, t2])
     b = GradedSubspace.from_spanning(2, [t1 + t2, t1 - t2, t1])
-    assert a == b and equals(a, b)
+    assert a == b
     assert a.hilbert() == (0, 2)
     assert a.dim() == 2
 
@@ -131,3 +134,107 @@ def test_contains_is_degreewise():
     # degree 2 of big is empty, so the degree-2 line cannot sit inside it
     assert not contains(big, small)
     assert contains(big, GradedSubspace.zero(2))
+
+
+# -- intersection against the complement-of-sum-of-complements route -----------
+
+
+def reference_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    """Degreewise intersection via complement-of-sum-of-complements."""
+    if a.nvars != b.nvars:
+        raise DimensionMismatch("intersection across different rings")
+    comps = {}
+    for d, basis_a in a.comps:
+        basis_b = b.component(d)
+        if not basis_b:
+            continue
+        ncols = component_dim(a.nvars, d)
+        comp_a = nullspace(basis_a, ncols=ncols)
+        comp_b = nullspace(basis_b, ncols=ncols)
+        comps[d] = nullspace(comp_a + comp_b, ncols=ncols)
+    return GradedSubspace.from_components(a.nvars, comps)
+
+
+RELATIONS = ("zero", "equal", "nested", "trivial", "random")
+
+
+def _component_pair(rng, nvars: int, d: int, relation: str):
+    """Spanning polynomials of two degree-d components in the given relation:
+    one side empty, the same space, one inside the other, meeting only in 0
+    (disjoint monomial supports), or drawn independently."""
+    mons = monomials(nvars, d)
+
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def draw(support, count):
+        return [HPoly(nvars, {m: coeff() for m in support}) for _ in range(count)]
+
+    def combos(polys, count):
+        out = []
+        for _ in range(count):
+            p = HPoly.zero(nvars)
+            for q in polys:
+                p = p + q.scale(rng.randint(-2, 2))
+            out.append(p)
+        return out
+
+    size = len(mons)
+    ps = draw(mons, rng.randint(1, size))
+    if relation == "zero":
+        pair = (ps, [])
+    elif relation == "equal":
+        pair = (ps, ps[::-1] + combos(ps, 2))
+    elif relation == "nested":
+        pair = (ps, combos(ps, rng.randint(1, len(ps))))
+    elif relation == "trivial":
+        cut = rng.randint(0, size)
+        left, right = mons[:cut], mons[cut:]
+        pair = (
+            draw(left, rng.randint(1, len(left))) if left else [],
+            draw(right, rng.randint(1, len(right))) if right else [],
+        )
+    else:
+        pair = (ps, draw(mons, rng.randint(1, size)))
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def _space_pair(rng, nvars: int, relations):
+    pa, pb = [], []
+    for d, relation in enumerate(relations):
+        a, b = _component_pair(rng, nvars, d, relation)
+        pa += a
+        pb += b
+    return GradedSubspace.from_spanning(nvars, pa), GradedSubspace.from_spanning(nvars, pb)
+
+
+def _assert_intersections_match(a, b):
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = intersect(x, y)
+        assert got == reference_intersect(x, y)
+        assert all(type(v) is Fraction for _, basis in got.comps for row in basis for v in row)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_intersect_matches_complement_route(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(2, 4)
+    relations = [RELATIONS[(seed + d) % len(RELATIONS)] for d in range(4)]
+    a, b = _space_pair(rng, nvars, relations)
+    _assert_intersections_match(a, b)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    nvars=st.integers(2, 4),
+    relations=st.lists(st.sampled_from(RELATIONS), min_size=1, max_size=4),
+    rng=st.randoms(use_true_random=False),
+)
+def test_intersect_matches_complement_route_hypothesis(nvars, relations, rng):
+    a, b = _space_pair(rng, nvars, relations)
+    _assert_intersections_match(a, b)
+
+
+def test_intersect_rejects_different_rings():
+    with pytest.raises(DimensionMismatch):
+        intersect(GradedSubspace.zero(2), GradedSubspace.zero(3))

@@ -13,9 +13,6 @@ from zonoforge.linalg import (
     det,
     dot,
     frac,
-    identity,
-    in_row_space,
-    mat_vec,
     matrix,
     nullspace,
     primitive_integer,
@@ -23,7 +20,6 @@ from zonoforge.linalg import (
     row_basis,
     rref,
     solve_square,
-    transpose,
 )
 
 
@@ -73,14 +69,14 @@ def test_solve_square_inverts_and_detects_singular():
     a = matrix([[2, 1], [1, 1]])
     x = solve_square(a, (3, 2))
     assert x == (Fraction(1), Fraction(1))
-    assert mat_vec(a, x) == (Fraction(3), Fraction(2))
+    assert tuple(dot(row, x) for row in a) == (Fraction(3), Fraction(2))
     assert solve_square(matrix([[1, 2], [2, 4]]), (1, 0)) is None
 
 
 def test_det_small_cases():
     assert det(matrix([[3]])) == 3
     assert det(matrix([[1, 2], [3, 4]])) == -2
-    assert det(identity(4)) == 1
+    assert det(matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])) == 1
     assert det(matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
 
 
@@ -88,18 +84,6 @@ def test_primitive_integer_normalization():
     assert primitive_integer((Fraction(-2, 3), Fraction(4, 3))) == (1, -2)
     assert primitive_integer((0, Fraction(5, 2))) == (0, 1)
     assert primitive_integer((6, -9)) == (2, -3)
-
-
-def test_in_row_space():
-    m = matrix([[1, 0, 1], [0, 1, 1]])
-    assert in_row_space(m, (1, 1, 2))
-    assert not in_row_space(m, (0, 0, 1))
-
-
-def test_transpose_round_trip():
-    m = matrix([[1, 2, 3], [4, 5, 6]])
-    assert transpose(transpose(m, 3), 2) == m
-    assert transpose((), 3) == ((), (), ())
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,0 +1,202 @@
+"""The patched-extension identity against the two routes it replaced.
+
+`internal_extension_check` and the violation re-check in `verify` both
+read `r37_sides`, and every semi-internal and internal space comes from
+`deletion_intersection`.  The oracles below are verbatim copies of the
+earlier code, which wrote each deletion intersection out as its own loop:
+the report of `internal_extension_check`, `verify._r37_spaces`, and the
+all-deletions `internal_space` they both read (uncached here).
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from zonoforge.config import (
+    Config,
+    i_internal_bases,
+    independents,
+    internal_bases,
+    is_coloop,
+    is_independent,
+    make_config,
+    order_with_last,
+    passive_set,
+    subset_polynomial,
+)
+from zonoforge.errors import ColoopInI, NotIndependent, RankDeficient, ZeroColumn
+from zonoforge.graded import GradedSubspace, add, intersect
+from zonoforge.zonotopal import (
+    _delete,
+    central_space,
+    deletion_intersection,
+    internal_extension_check,
+    internal_space,
+    r37_sides,
+)
+
+
+# -- the earlier routes, verbatim ---------------------------------------------
+
+
+def reference_internal_space(c: Config) -> GradedSubspace:
+    """Intersection of the deletion central spaces over every single column.
+
+    Only defined when no column is a coloop (every deletion keeps full rank);
+    callers check that before calling.
+    """
+    space = None
+    for x in range(c.ncols):
+        piece = central_space(_delete(c, x))
+        space = piece if space is None else intersect(space, piece)
+    return space
+
+
+def reference_internal_extension_check(c: Config, i_set) -> dict:
+    """Compare the deletion-intersection space against the all-deletions space
+    patched by the extra passive-set products.
+
+    For #i_set <= 2 the equality is a certified statement; for larger sets it
+    is exploratory (the report carries the verdict either way).
+    """
+    i_set = frozenset(i_set)
+    if not is_independent(c, i_set):
+        raise NotIndependent(i_set)
+    for b in sorted(i_set):
+        if is_coloop(c, b):
+            raise ColoopInI(b)
+    report = {
+        "i": sorted(i_set),
+        "size": len(i_set),
+        "mode": "assert" if len(i_set) <= 2 else "explore",
+    }
+    if any(is_coloop(c, x) for x in range(c.ncols)):
+        report["skipped"] = (
+            "configuration has a coloop; the all-deletions intersection is undefined"
+        )
+        return report
+
+    order = order_with_last(c, i_set)
+    b_plain = internal_bases(c, order=order)
+    b_rel = i_internal_bases(c, i_set)
+
+    if i_set:
+        lhs = None
+        for b in sorted(i_set):
+            piece = central_space(_delete(c, b))
+            lhs = piece if lhs is None else intersect(lhs, piece)
+    else:
+        lhs = central_space(c)
+
+    p_minus = reference_internal_space(c)
+
+    plain_set = set(b_plain)
+    extra = [
+        subset_polynomial(c, passive_set(c, b, order))
+        for b in b_rel
+        if b not in plain_set
+    ]
+    rhs = add(p_minus, GradedSubspace.from_spanning(c.n, extra))
+
+    report.update(
+        {
+            "equal": lhs == rhs,
+            "lhs_hilbert": list(lhs.hilbert()),
+            "rhs_hilbert": list(rhs.hilbert()),
+            "restricted_bases": len(b_rel),
+            "plain_bases": len(b_plain),
+        }
+    )
+    return report
+
+
+def reference_r37_spaces(c: Config, i_set):
+    """Both sides of the patched-extension identity, computed from scratch."""
+    lhs = None
+    for b in sorted(i_set):
+        piece = central_space(_delete(c, b))
+        lhs = piece if lhs is None else intersect(lhs, piece)
+    if lhs is None:
+        lhs = central_space(c)
+
+    order = order_with_last(c, i_set)
+    plain = set(internal_bases(c, order=order))
+    extra = [
+        subset_polynomial(c, passive_set(c, b, order))
+        for b in i_internal_bases(c, i_set)
+        if b not in plain
+    ]
+    rhs = add(reference_internal_space(c), GradedSubspace.from_spanning(c.n, extra))
+    return lhs, rhs
+
+
+# -- seeded n = 3 configurations ----------------------------------------------
+
+
+def _draw_config(seed: int) -> Config:
+    """n = 3, 3 to 6 columns, entries in 0..1 or -1..1, often a repeated column."""
+    rng = random.Random(seed)
+    entries = (0, 1) if seed % 2 else (-1, 0, 1)
+    while True:
+        ncols = rng.randint(3, 6)
+        cols = [[rng.choice(entries) for _ in range(3)] for _ in range(ncols)]
+        if ncols > 3 and rng.random() < 0.6:
+            cols[-1] = list(rng.choice(cols[:-1]))
+        try:
+            return make_config([list(row) for row in zip(*cols)])
+        except (RankDeficient, ZeroColumn):
+            continue
+
+
+def _small_i_sets(c: Config):
+    return [s for s in independents(c) if len(s) <= 3]
+
+
+def _outcome(fn, c, i_set):
+    try:
+        return fn(c, i_set)
+    except (NotIndependent, ColoopInI) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_report_matches_the_earlier_route(seed):
+    # independent sets (coloop members refused), then dependent pairs
+    c = _draw_config(seed)
+    pairs = [frozenset(s) for s in itertools.combinations(range(c.ncols), 2)]
+    for i_set in _small_i_sets(c) + [s for s in pairs if not is_independent(c, s)]:
+        assert _outcome(internal_extension_check, c, i_set) == _outcome(
+            reference_internal_extension_check, c, i_set
+        )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_r37_sides_match_the_earlier_spaces(seed):
+    c = _draw_config(seed)
+    if any(is_coloop(c, x) for x in range(c.ncols)):
+        # the all-deletions intersection is undefined; the check says so
+        assert "skipped" in internal_extension_check(c, frozenset())
+        return
+    assert internal_space(c) == reference_internal_space(c)
+    for i_set in _small_i_sets(c):
+        lhs, rhs, _, _ = r37_sides(c, i_set)
+        assert (lhs, rhs) == reference_r37_spaces(c, i_set)
+        assert deletion_intersection(c, i_set) == lhs
+
+
+def test_the_seeds_cover_coloops_repeats_and_every_i_size():
+    configs = [_draw_config(seed) for seed in range(16)]
+    coloop_free = [c for c in configs if not any(is_coloop(c, x) for x in range(c.ncols))]
+    assert 0 < len(coloop_free) < len(configs)
+    assert any(len(set(c.columns)) < c.ncols for c in coloop_free)
+    assert any(any(x < 0 for v in c.columns for x in v) for c in coloop_free)
+    sizes = {len(s) for c in coloop_free for s in _small_i_sets(c)}
+    assert sizes == {0, 1, 2, 3}
+
+
+def test_deletion_intersection_of_no_columns_is_the_central_space(ex25):
+    assert deletion_intersection(ex25, ()) == central_space(ex25)
+    assert deletion_intersection(ex25, frozenset()) == central_space(ex25)

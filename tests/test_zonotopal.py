@@ -21,6 +21,7 @@ from zonoforge.errors import (
     ColoopInI,
     ConditionFails,
     ConsistencyError,
+    InputError,
     MissingB0,
     NotIndependent,
 )
@@ -243,6 +244,17 @@ def test_bundle_for_dispatch(ex25, fam1):
     assert bundle_for(ex25, "external").kind == "external"
     assert bundle_for(ex25, "semi_external", fam=fam1).kind == "semi_external"
     assert bundle_for(ex25, "semi_internal", i_set={3}).kind == "semi_internal"
+
+
+def test_bundle_for_without_a_family_is_an_input_error(ex25):
+    with pytest.raises(InputError, match="kind semi_external needs the iprime field"):
+        bundle_for(ex25, "semi_external")
+
+
+def test_bundle_for_without_an_index_list_is_an_input_error(ex25):
+    # an absent i is a caller error, not the empty set (the central bundle)
+    with pytest.raises(InputError, match="kind semi_internal needs the index list i"):
+        bundle_for(ex25, "semi_internal")
 
 
 def test_d_space_dimension_matches(ex25):
