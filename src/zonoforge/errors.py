@@ -93,9 +93,15 @@ class UnknownBasis(InputError):
 
 
 class NoStabilization(ZonoforgeError):
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, values: tuple, nvars: int, ngens: int):
         self.cap = cap
-        super().__init__(f"quotient did not reach dimension 0 by degree {cap}")
+        self.values = tuple(values)
+        self.nvars = nvars
+        self.ngens = ngens
+        super().__init__(
+            f"quotient did not reach dimension 0 by degree {cap}: quotient "
+            f"dimensions {list(self.values)} for {ngens} generators in {nvars} variables"
+        )
 
 
 class ConditionFails(ZonoforgeError):

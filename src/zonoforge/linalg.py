@@ -7,7 +7,10 @@ the lcm of its denominators (which changes neither its row space nor the
 reduced form), reduced fraction-free, and turned back into Fractions only
 when a reduced form is returned.  rref() is fully canonical (leading ones,
 pivot columns cleared above and below), so two row spaces are equal iff
-their reduced forms are identical tuples.
+their reduced forms are identical tuples.  echelon() is the one integer
+interface: it takes rows that are already integer and returns the
+non-reduced integer echelon, for callers that only need ranks and pivot
+rows.
 """
 
 from __future__ import annotations
@@ -66,10 +69,12 @@ def _integer_row(row) -> list:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _eliminate(m: Matrix, reduced: bool) -> list:
-    """Integer pivot rows of m as (pivot column, row) pairs, in the order found.
+def _eliminate(rows, ncols: int, reduced: bool, pivots=()) -> list:
+    """Integer pivot rows as (pivot column, row) pairs, in the order found.
 
-    Rows are taken one at a time and cleared against the pivot rows so far
+    `rows` are integer rows of length ncols, consumed lazily; `pivots` is an
+    echelon found earlier, which is extended (never modified).  Rows are
+    taken one at a time and cleared against the pivot rows so far
     with the fraction-free update p/h * row - f/h * pivot_row, h = gcd(p, f);
     after an update that scaled the row (p/h != 1) its content is divided
     out, so entries stay near the size of the final ones instead of growing
@@ -81,10 +86,8 @@ def _eliminate(m: Matrix, reduced: bool) -> list:
     the earlier rows (Gauss-Jordan), so every pivot row is zero in every
     other pivot column.
     """
-    pivots = []
-    ncols = len(m[0]) if m else 0
-    for row in m:
-        row = _integer_row(row)
+    pivots = list(pivots)
+    for row in rows:
         for c, prow in pivots:
             f = row[c]
             if f:
@@ -128,7 +131,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     if not m:
         return (), ()
-    pivots = sorted(_eliminate(m, reduced=True))  # pivot columns are distinct
+    # pivot columns are distinct
+    pivots = sorted(_eliminate(map(_integer_row, m), len(m[0]), True))
     cols = tuple([c for c, _ in pivots])
     out = []
     for k, c in enumerate(cols):
@@ -150,7 +154,18 @@ def row_basis(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m, reduced=False))
+    return len(_eliminate(map(_integer_row, m), len(m[0]), False)) if m else 0
+
+
+def echelon(rows, ncols: int, start=()) -> list:
+    """Non-reduced integer echelon of integer rows, extending `start`.
+
+    Returns `start` (an earlier result of echelon) followed by the pivot rows
+    the new rows add, as (pivot column, primitive int row) pairs; each row is
+    zero in the pivot columns listed before it, so the length is the rank of
+    everything seen.  Stops once there are ncols pivots.
+    """
+    return _eliminate(rows, ncols, reduced=False, pivots=start)
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> Matrix:

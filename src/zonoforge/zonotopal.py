@@ -27,6 +27,7 @@ from functools import lru_cache, reduce
 
 from .config import (
     Config,
+    _mask_to_set,
     SemiExternalFamily,
     bases,
     ensure_family,
@@ -100,36 +101,49 @@ def stabilization_cap(c: Config) -> int:
 def minimal_hitting_sets(sets) -> tuple:
     """Inclusion-minimal sets meeting every member of the family.
 
-    Branch on the smallest still-unmet member; prune branches that already
-    contain a recorded hitting set (their completions cannot be minimal).
-    For the empty family the empty set is the unique answer; a family with
-    an empty member has no hitting set at all.
+    Sets are bitmasks throughout.  Branch on the unmet member with the fewest
+    elements not yet banned; the branch that adds its k-th such element bans
+    the ones before it, so the branches below a node share no set and every
+    minimal hitting set H is reached once (always add the least element of
+    H in the pivot).  Branches that contain a recorded hitting set are
+    pruned (their completions cannot be minimal), and the sets found are
+    filtered for minimality.  For the empty family the empty set is the
+    unique answer; a family with an empty member has no hitting set at all.
     """
-    family = [frozenset(s) for s in sets]
-    if any(not s for s in family):
+    family = [set_to_mask(frozenset(s)) for s in sets]
+    if not all(family):
         return ()
     if not family:
         return (frozenset(),)
-    found: set = set()
+    found: list = []
 
-    def branch(chosen: frozenset, remaining):
-        if any(h <= chosen for h in found):
-            return
-        rem = [s for s in remaining if not (s & chosen)]
+    def branch(chosen: int, remaining, banned: int):
+        for h in found:
+            if not h & ~chosen:
+                return
+        rem = [s for s in remaining if not s & chosen]
         if not rem:
-            found.add(chosen)
+            found.append(chosen)
             return
-        pivot = min(rem, key=lambda s: (len(s), sorted(s)))
-        for e in sorted(pivot):
-            branch(chosen | {e}, rem)
+        free = min((s & ~banned for s in rem), key=lambda s: (s.bit_count(), s))
+        while free:
+            low = free & -free
+            branch(chosen | low, rem, banned)
+            banned |= low
+            free ^= low
 
-    branch(frozenset(), family)
-    minimal = [
-        h
-        for h in found
-        if all(any(not (s & (h - {e})) for s in family) for e in h)
-    ]
-    return tuple(sorted(minimal, key=set_to_mask))
+    branch(0, family, 0)
+    minimal = []
+    for h in found:
+        rest = h
+        while rest:
+            low = rest & -rest
+            if all(s & (h ^ low) for s in family):
+                break  # h without this element still hits everything
+            rest ^= low
+        else:
+            minimal.append(h)
+    return tuple(_mask_to_set(h) for h in sorted(minimal))
 
 
 def _delete(c: Config, col: int) -> Config:

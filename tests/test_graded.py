@@ -2,30 +2,38 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonoforge import graded
+from zonoforge.cli import parse_document
+from zonoforge.config import Config, SemiExternalFamily, ensure_family, semiexternal_close
 from zonoforge.errors import DimensionMismatch, NoStabilization
 from zonoforge.graded import (
     GradedSubspace,
+    Ideal,
     IdealGens,
     add,
     component_dim,
     contains,
     direct_sum_certificate,
     hilbert_quotient,
-    ideal_component,
     ideal_contains,
     ideals_equal,
     intersect,
     kernel,
 )
-from zonoforge.linalg import nullspace
+from zonoforge.linalg import nullspace, rank, row_basis
 from zonoforge.poly import HPoly, monomials
+from zonoforge.zonotopal import bundle_for
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def gens_of(nvars, exps):
@@ -49,11 +57,9 @@ def test_from_spanning_is_canonical():
 
 
 def test_ideal_component_dims_principal():
-    g = gens_of(2, [(2, 0)])
-    assert len(ideal_component(g, 1)) == 0
-    assert len(ideal_component(g, 2)) == 1
-    assert len(ideal_component(g, 3)) == 2
-    assert len(ideal_component(g, 4)) == 3
+    ideal = Ideal(gens_of(2, [(2, 0)]))
+    assert [ideal.dim(d) for d in range(5)] == [0, 0, 1, 2, 3]
+    assert ideal.full_degree is None
 
 
 def test_kernel_of_two_pure_powers():
@@ -64,8 +70,14 @@ def test_kernel_of_two_pure_powers():
 
 
 def test_hilbert_quotient_never_stabilizes_without_gens():
-    with pytest.raises(NoStabilization):
+    with pytest.raises(NoStabilization) as info:
         hilbert_quotient(IdealGens.make(2, []), cap=5)
+    err = info.value
+    assert (err.cap, err.values, err.nvars, err.ngens) == (5, (1, 2, 3, 4, 5, 6), 2, 0)
+    text = str(err)
+    assert "degree 5" in text
+    assert "[1, 2, 3, 4, 5, 6]" in text
+    assert "0 generators in 2 variables" in text
 
 
 def test_kernel_ideal_duality_random():
@@ -76,10 +88,9 @@ def test_kernel_ideal_duality_random():
         exps = [rng.choice(monomials(nvars, rng.randint(1, 2))) for _ in range(2)]
         g = gens_of(nvars, exps)
         k = kernel(g, 4)
+        ideal = Ideal(g)
         for d in range(5):
-            assert len(k.component(d)) + len(ideal_component(g, d)) == component_dim(
-                nvars, d
-            )
+            assert len(k.component(d)) + ideal.dim(d) == component_dim(nvars, d)
 
 
 def random_space(rng, nvars, degree, count):
@@ -238,3 +249,272 @@ def test_intersect_matches_complement_route_hypothesis(nvars, relations, rng):
 def test_intersect_rejects_different_rings():
     with pytest.raises(DimensionMismatch):
         intersect(GradedSubspace.zero(2), GradedSubspace.zero(3))
+
+
+# -- Ideal against the all-multiples route ---------------------------------------
+#
+# The reference_* functions are the library's routes from before Ideal, kept
+# verbatim except that the quotient loop returns None where the library
+# raised: every generator times every monomial, compared through canonical
+# row bases.
+
+
+def reference_ideal_component(gens: IdealGens, d: int) -> tuple:
+    """Canonical row basis of the ideal's degree-d component."""
+    rows = []
+    for g in gens.gens:
+        k = d - g.degree
+        if k < 0:
+            continue
+        for m in monomials(gens.nvars, k):
+            rows.append((HPoly.monomial(gens.nvars, m) * g).coeff_vector())
+    return row_basis(tuple(rows))
+
+
+def reference_hilbert_quotient(gens: IdealGens, cap: int) -> tuple | None:
+    """Quotient values up to the first zero, or None if the cap comes first."""
+    values = []
+    for d in range(cap + 1):
+        q = component_dim(gens.nvars, d) - len(reference_ideal_component(gens, d))
+        if q == 0:
+            return tuple(values)
+        values.append(q)
+    return None
+
+
+def reference_ideals_equal(a: IdealGens, b: IdealGens, dmax: int) -> bool:
+    return all(
+        reference_ideal_component(a, d) == reference_ideal_component(b, d)
+        for d in range(dmax + 1)
+    )
+
+
+def reference_ideal_contains(big: IdealGens, small: IdealGens, dmax: int) -> bool:
+    for d in range(dmax + 1):
+        comp_big = reference_ideal_component(big, d)
+        comp_small = reference_ideal_component(small, d)
+        if len(row_basis(comp_big + comp_small)) != len(comp_big):
+            return False
+    return True
+
+
+def reference_direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: int | None = None) -> dict:
+    if dmax is None:
+        dmax = p.top_degree() + 1
+    table = []
+    ok = True
+    for d in range(dmax + 1):
+        basis_p = p.component(d)
+        basis_i = reference_ideal_component(gens, d)
+        full = component_dim(p.nvars, d)
+        stacked_rank = rank(basis_p + basis_i)
+        line = {
+            "degree": d,
+            "dim_space": len(basis_p),
+            "dim_ideal": len(basis_i),
+            "dim_full": full,
+            "sum_ok": len(basis_p) + len(basis_i) == full,
+            "independent": stacked_rank == len(basis_p) + len(basis_i),
+        }
+        line["passed"] = line["sum_ok"] and line["independent"]
+        ok = ok and line["passed"]
+        table.append(line)
+    return {"dmax": dmax, "degrees": table, "passed": ok}
+
+
+def _random_poly(rng, nvars: int, d: int) -> HPoly:
+    mons = monomials(nvars, d)
+    support = rng.sample(mons, rng.randint(1, min(3, len(mons))))
+    return HPoly(nvars, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for m in support})
+
+
+def _random_gens(rng, nvars: int) -> IdealGens:
+    """Up to five generators of degrees 0-4 with rational coefficients; may
+    add a zero generator, a duplicate, a scaled copy, or every monomial of a
+    low degree (a component that is full early).  Built directly, not by
+    IdealGens.make, so zeros and duplicates reach the Ideal."""
+    polys = [
+        _random_poly(rng, nvars, 0 if rng.random() < 0.05 else rng.randint(1, 4))
+        for _ in range(rng.randint(0, 5))
+    ]
+    if rng.random() < 0.2:
+        polys.append(HPoly.zero(nvars))
+    if polys and rng.random() < 0.3:
+        g = rng.choice(polys)
+        polys.append(g if rng.random() < 0.5 else g.scale(Fraction(-3, 2)))
+    if rng.random() < 0.2:
+        e = rng.randint(1, 2)
+        polys += [HPoly.monomial(nvars, m) for m in monomials(nvars, e)]
+    rng.shuffle(polys)
+    return IdealGens(nvars, tuple(polys))
+
+
+def _unit_rows(size: int) -> tuple:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
+
+
+def _nonzero(gens: IdealGens) -> IdealGens:
+    """The all-multiples route needs nonzero generators (IdealGens.make drops
+    zeros; a zero one would give a row of the wrong length)."""
+    return IdealGens(gens.nvars, tuple(g for g in gens.gens if not g.is_zero))
+
+
+def _assert_ideal_matches_oracle(gens: IdealGens, dmax: int):
+    ideal = Ideal(gens)
+    nonzero = _nonzero(gens)
+    for d in range(dmax + 1):
+        ref = reference_ideal_component(nonzero, d)
+        assert ideal.dim(d) == len(ref)
+        assert ideal.is_full(d) == (len(ref) == component_dim(gens.nvars, d))
+        if ideal.is_full(d):
+            assert ref == _unit_rows(component_dim(gens.nvars, d))
+        else:
+            assert row_basis(tuple(tuple(r) for _, r in ideal.pivots(d))) == ref
+    expected = reference_hilbert_quotient(nonzero, dmax)
+    if expected is None:
+        with pytest.raises(NoStabilization):
+            hilbert_quotient(gens, cap=dmax)
+    else:
+        assert hilbert_quotient(gens, cap=dmax) == expected
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_ideal_matches_all_multiples_oracle(seed):
+    rng = random.Random(7000 + seed)
+    _assert_ideal_matches_oracle(_random_gens(rng, 1 + seed % 4), 5 - seed % 4 // 2)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nvars=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_ideal_matches_all_multiples_oracle_hypothesis(nvars, rng):
+    _assert_ideal_matches_oracle(_random_gens(rng, nvars), 4)
+
+
+def test_ideal_full_from_a_constant_and_without_generators():
+    whole = Ideal(gens_of(3, [(0, 0, 0)]))
+    assert whole.full_degree is None  # nothing is built before it is asked for
+    assert whole.is_full(0) and whole.full_degree == 0
+    assert whole.dim(4) == component_dim(3, 4)
+    empty = Ideal(IdealGens.make(3, []))
+    assert [empty.dim(d) for d in range(4)] == [0, 0, 0, 0]
+    assert empty.full_degree is None
+
+
+def _related_gens(rng, a: IdealGens) -> IdealGens:
+    """An ideal that equals a, lies inside it, or is unrelated to it."""
+    nvars = a.nvars
+    relation = rng.choice(("equal", "inside", "extra", "random"))
+    if relation == "random" or not a.gens:
+        return _random_gens(rng, nvars)
+    multiples = [
+        (HPoly.monomial(nvars, rng.choice(monomials(nvars, rng.randint(0, 1)))) * g).scale(rng.randint(1, 3))
+        for g in a.gens
+        if rng.random() < 0.5
+    ]
+    if relation == "equal":
+        return IdealGens(nvars, a.gens[::-1] + tuple(multiples))
+    if relation == "inside":
+        return IdealGens(nvars, tuple(multiples) + a.gens[: rng.randint(0, len(a.gens))])
+    return IdealGens(nvars, a.gens + (_random_poly(rng, nvars, rng.randint(1, 3)),))
+
+
+def _assert_comparisons_match(a: IdealGens, b: IdealGens, dmax: int):
+    ra, rb = _nonzero(a), _nonzero(b)
+    assert ideals_equal(a, b, dmax) == reference_ideals_equal(ra, rb, dmax)
+    assert ideals_equal(b, a, dmax) == reference_ideals_equal(rb, ra, dmax)
+    assert ideal_contains(a, b, dmax) == reference_ideal_contains(ra, rb, dmax)
+    assert ideal_contains(b, a, dmax) == reference_ideal_contains(rb, ra, dmax)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ideal_comparisons_match_canonical_route(seed):
+    rng = random.Random(9000 + seed)
+    a = _random_gens(rng, rng.randint(1, 3))
+    b = _related_gens(rng, a)
+    for dmax in (1, 3, 5):
+        _assert_comparisons_match(a, b, dmax)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nvars=st.integers(1, 3), dmax=st.integers(0, 4), rng=st.randoms(use_true_random=False))
+def test_ideal_comparisons_match_canonical_route_hypothesis(nvars, dmax, rng):
+    a = _random_gens(rng, nvars)
+    _assert_comparisons_match(a, _related_gens(rng, a), dmax)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_direct_sum_certificate_matches_all_multiples_route(seed):
+    # the kernel complements the ideal in every degree (a passing
+    # certificate); a random space, a truncated kernel or one with an extra
+    # component past the ideal's full degree does not
+    rng = random.Random(5000 + seed)
+    nvars = rng.randint(1, 3)
+    gens = _random_gens(rng, nvars)
+    top = rng.randint(0, 4)
+    spaces = [kernel(_nonzero(gens), top), random_space(rng, nvars, rng.randint(0, 3), rng.randint(1, 3))]
+    spaces.append(add(spaces[0], random_space(rng, nvars, top + 1, 1)))
+    for p in spaces:
+        for dmax in (None, top + 2):
+            got = direct_sum_certificate(p, gens, dmax)
+            assert got == reference_direct_sum_certificate(p, _nonzero(gens), dmax)
+
+
+K4 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1))
+KINDS = ("central", "external", "semi_external", "semi_internal")
+
+
+@pytest.fixture(scope="module")
+def document_bundles():
+    """Every bundle of every shipped input document, and of K4 with i = {5}."""
+    out = []
+    for path in sorted(INPUTS.glob("*.json")):
+        c, meta = parse_document(json.loads(path.read_text()))
+        if meta["iprime_closed"]:
+            fam = ensure_family(c, SemiExternalFamily(tuple(meta["iprime"])))
+        else:
+            fam = semiexternal_close(c, meta["iprime"])
+        out += [bundle_for(c, kind, fam, frozenset(meta["i"])) for kind in KINDS]
+    unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
+    k4 = Config(K4, b0=unit)
+    out += [bundle_for(k4, kind, None, frozenset({5})) for kind in KINDS if kind != "semi_external"]
+    return out
+
+
+def test_bundle_ideals_match_all_multiples_oracle(document_bundles):
+    for b in document_bundles:
+        dmax = b.p_space.top_degree() + 2
+        for gens in (b.i_ideal, b.j_ideal, b.ieps_ideal):
+            if gens is not None:
+                _assert_ideal_matches_oracle(gens, dmax)
+        if b.ieps_ideal is not None:
+            _assert_comparisons_match(b.i_ideal, b.ieps_ideal, dmax)
+        assert direct_sum_certificate(b.p_space, b.j_ideal) == reference_direct_sum_certificate(
+            b.p_space, b.j_ideal
+        )
+
+
+def test_direct_sum_certificate_stops_eliminating_at_the_full_degree(monkeypatch):
+    g = gens_of(2, [(2, 0), (0, 2)])  # full from degree 3 on
+    widths = []
+    real = graded.echelon
+
+    def counting(rows, ncols, start=()):
+        widths.append(ncols)
+        return real(rows, ncols, start)
+
+    monkeypatch.setattr(graded, "echelon", counting)
+    cert = direct_sum_certificate(kernel(g, 2), g, dmax=30)
+    assert cert["passed"] and len(cert["degrees"]) == 31
+    assert cert["degrees"][30] == {
+        "degree": 30,
+        "dim_space": 0,
+        "dim_ideal": 31,
+        "dim_full": 31,
+        "sum_ok": True,
+        "independent": True,
+        "passed": True,
+    }
+    # stacked ranks in degrees 0-2, components built in degrees 2-3; degree 3
+    # (4 monomials in 2 variables) is the last one eliminated
+    assert max(widths) == component_dim(2, 3)
+    assert len(widths) == 5

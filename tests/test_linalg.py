@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from zonoforge.linalg import (
     det,
     dot,
+    echelon,
     frac,
     matrix,
     nullspace,
@@ -175,6 +177,23 @@ def assert_matches_reference(m, ncols, rhs=None):
         x = solve_square(m, rhs)
         assert x == reference_solve_square(m, rhs)
         assert x is None or all_fractions([x])
+    assert_echelon_matches_reference(m, ncols)
+
+
+def assert_echelon_matches_reference(m, ncols):
+    """echelon() on the integer-scaled rows, in one go and as an extension of
+    an echelon of the first half, spans the reference row space."""
+    ints = [[int(x * lcm(*(y.denominator for y in r))) for x in r] for r in m]
+    start = echelon(ints[: len(ints) // 2], ncols)
+    kept = list(start)
+    extended = echelon(ints[len(ints) // 2 :], ncols, start)
+    assert start == kept and extended[: len(start)] == start
+    for found in (echelon(ints, ncols), extended):
+        assert len(found) == len(reference_rref(m)[1])
+        for k, (c, row) in enumerate(found):
+            assert row[c] > 0 and not any(row[:c])
+            assert all(row[p] == 0 for p, _ in found[:k])
+        assert row_basis(tuple(tuple(Fraction(x) for x in r) for _, r in found)) == reference_row_basis(m)
 
 
 def random_matrix(rng, nrows, ncols):

@@ -10,12 +10,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonoforge.config import (
     bases,
     full_family,
     make_config,
     semiexternal_close,
+    set_to_mask,
 )
 from zonoforge.errors import (
     ColoopInI,
@@ -70,6 +73,72 @@ def test_minimal_hitting_sets_edges():
 def test_minimal_hitting_sets_prunes_supersets():
     got = minimal_hitting_sets([{0, 1}, {0, 2}, {0, 3}])
     assert set(got) == {frozenset({0}), frozenset({1, 2, 3})}
+
+
+def reference_minimal_hitting_sets(sets) -> tuple:
+    """Inclusion-minimal sets meeting every member of the family.
+
+    Branch on the smallest still-unmet member; prune branches that already
+    contain a recorded hitting set (their completions cannot be minimal).
+    For the empty family the empty set is the unique answer; a family with
+    an empty member has no hitting set at all.
+    """
+    family = [frozenset(s) for s in sets]
+    if any(not s for s in family):
+        return ()
+    if not family:
+        return (frozenset(),)
+    found: set = set()
+
+    def branch(chosen: frozenset, remaining):
+        if any(h <= chosen for h in found):
+            return
+        rem = [s for s in remaining if not (s & chosen)]
+        if not rem:
+            found.add(chosen)
+            return
+        pivot = min(rem, key=lambda s: (len(s), sorted(s)))
+        for e in sorted(pivot):
+            branch(chosen | {e}, rem)
+
+    branch(frozenset(), family)
+    minimal = [
+        h
+        for h in found
+        if all(any(not (s & (h - {e})) for s in family) for e in h)
+    ]
+    return tuple(sorted(minimal, key=set_to_mask))
+
+
+def _random_family(rng, universe: int, count: int) -> list:
+    """Random subsets of range(universe), sometimes with an empty member or a
+    repeated one, as sets, frozensets or sorted lists."""
+    family = [
+        {e for e in range(universe) if rng.random() < rng.choice((0.2, 0.4, 0.6))}
+        for _ in range(count)
+    ]
+    family = [s for s in family if s] if rng.random() < 0.9 else family
+    if family and rng.random() < 0.2:
+        family.append(set(rng.choice(family)))
+    kind = rng.choice((set, frozenset, sorted))
+    return [kind(s) for s in family]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimal_hitting_sets_match_frozenset_route(seed):
+    rng = random.Random(3100 + seed)
+    family = _random_family(rng, rng.randint(1, 9), rng.randint(0, 8))
+    got = minimal_hitting_sets(family)
+    assert got == reference_minimal_hitting_sets(family)
+    assert all(type(h) is frozenset for h in got)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=8)
+)
+def test_minimal_hitting_sets_match_frozenset_route_hypothesis(family):
+    assert minimal_hitting_sets(family) == reference_minimal_hitting_sets(family)
 
 
 # -- central -------------------------------------------------------------------
