@@ -13,6 +13,15 @@ cached ranks, and internal activity looks the hyperplane of a subbasis
 up in the facet table; none of them eliminates per query.  A Config
 computes its hash once, so a cache lookup costs no rehash of its entries.
 
+Each Config also carries its subset-product table: column bitmask ->
+p_Y = prod_{x in Y} x as an integer coefficient row and a denominator.
+It starts empty and `_product` fills it on demand by the mask recursion
+p_Y = p_{Y - max Y} * l_{max Y}, so every product is one multiplication
+of a stored one and is built once per configuration.  The table is not a
+field (equality, hash and repr ignore it); it lives and dies with its
+Config, and a derived Config starts with an empty one.
+`subset_polynomial` reads it.
+
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
 columns after everything else (preserving index order within each block) --
@@ -22,8 +31,10 @@ the statements about I-internal bases need I to come last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     BadB0,
@@ -36,7 +47,7 @@ from .errors import (
     ZeroColumn,
 )
 from .linalg import dot, frac, matrix, nullspace, primitive_integer, rank
-from .poly import HPoly, linform_product
+from .poly import HPoly, _times_linear, linform_product
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,9 @@ class Config:
         object.__setattr__(
             self, "_hash", hash((self.columns, self.b0, self.lam, self.lam_b0))
         )
+        # the subset-product table (column mask -> p_Y), filled by _product;
+        # not a field, so equality, hash and repr never see it
+        object.__setattr__(self, "_products", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -418,9 +432,35 @@ def extend_basis(c: Config, i_set) -> frozenset:
     return frozenset(out)
 
 
+def _product(c: Config, mask: int) -> tuple:
+    """p_Y for the columns Y of the bitmask, as (integer row over
+    monomials(n, #Y), denominator), read from c's product table.
+
+    A missing entry is built from its longest stored prefix by
+    p_Y = p_{Y - max Y} * l_{max Y}; each column's denominators are cleared
+    into the entry's denominator, so the rows stay integer.  The empty
+    product 1 is never stored.
+    """
+    table = c._products
+    chain = []
+    while mask and mask not in table:
+        chain.append(mask)
+        mask ^= 1 << (mask.bit_length() - 1)
+    row, den = table[mask] if mask else ((1,), 1)
+    for mask in reversed(chain):
+        col = c.columns[mask.bit_length() - 1]
+        d = lcm(*[x.denominator for x in col])
+        vec = [x.numerator * (d // x.denominator) for x in col]
+        row, den = tuple(_times_linear(row, vec, mask.bit_count() - 1)), den * d
+        table[mask] = (row, den)
+    return row, den
+
+
 def subset_polynomial(c: Config, cols) -> HPoly:
-    """Product of the linear forms of the chosen columns."""
-    return linform_product(c.n, c.subset_rows(cols))
+    """Product of the linear forms of the chosen columns, from the table."""
+    mask = set_to_mask(cols)
+    row, den = _product(c, mask)
+    return HPoly.from_coeff_vector(c.n, mask.bit_count(), [Fraction(x, den) for x in row])
 
 
 def extended_subset_polynomial(c: Config, cols) -> HPoly:

@@ -8,7 +8,8 @@ equal iff the dataclasses compare equal.
 An Ideal is the one owner of an ideal's graded components.  It builds them
 degree by degree (Macaulay): I_d is spanned by x_i times the pivot rows kept
 for I_{d-1} together with the generators of degree d, as integer rows
-reduced to a non-reduced echelon.  Once a component is full every later one
+reduced to a non-reduced echelon; x_i times a row is an index shift read
+from poly's shift table.  Once a component is full every later one
 is too, so nothing is eliminated past the first full degree.  Quotient
 Hilbert functions, direct-sum certificates and ideal comparisons read ranks
 and pivot rows from it; an Ideal lives only for the call that builds it.
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, NoStabilization
 from .linalg import echelon, nullspace, primitive_integer, row_basis, rref
-from .poly import HPoly, diff_apply, monomials
+from .poly import HPoly, _shifts, diff_apply, monomials
 
 
 def component_dim(nvars: int, d: int) -> int:
@@ -42,6 +43,8 @@ class GradedSubspace:
 
     @classmethod
     def from_components(cls, nvars: int, mapping: dict) -> "GradedSubspace":
+        """Degree -> spanning rows (of ints or Fractions), each degree
+        reduced to its canonical basis; zero components are dropped."""
         comps = []
         for d in sorted(mapping):
             basis = row_basis(tuple(tuple(r) for r in mapping[d]))
@@ -156,11 +159,7 @@ class Ideal:
             rows = list(self._gens.get(d, ()))
             prev = self._echelons[-1] if d else ()
             if prev:
-                index = {m: k for k, m in enumerate(monomials(n, d))}
-                shifts = [
-                    [index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(n, d - 1)]
-                    for i in range(n)
-                ]
+                shifts = _shifts(n, d - 1)
                 for _, b in prev:
                     support = [(j, v) for j, v in enumerate(b) if v]
                     for shift in shifts:

@@ -13,6 +13,12 @@ coefficient vector, matrix column and rendered string follows it.
 
 The pairing is the apolarity pairing <p, q> = (p(D)q)(0): on monomials
 <t^a, t^b> = a! when a == b and 0 otherwise.
+
+Hot products run on integer coefficient rows instead of HPoly dicts:
+`_shifts` maps each monomial to its index after multiplication by a
+variable, and `_times_linear` multiplies a row by a linear form with it.
+The subset-product table in config and graded.Ideal both read it; the HPoly
+arithmetic stays as their independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -39,6 +45,31 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(nvars - 1, degree - k):
             out.append((k,) + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shifts(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Multiplication by a variable on monomial indices: entry i lists, for
+    each monomial m of monomials(nvars, degree), the index of t_i * m in
+    monomials(nvars, degree + 1).  Every integer-row product reads it."""
+    index = {m: k for k, m in enumerate(monomials(nvars, degree + 1))}
+    return tuple(
+        tuple(index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(nvars, degree))
+        for i in range(nvars)
+    )
+
+
+def _times_linear(row, vec, degree: int) -> list:
+    """An integer coefficient row of the given degree times the linear form
+    vec . t (vec of ints), as a row over monomials(len(vec), degree + 1)."""
+    nvars = len(vec)
+    out = [0] * len(monomials(nvars, degree + 1))
+    for v, shift in zip(vec, _shifts(nvars, degree)):
+        if v:
+            for k, x in zip(shift, row):
+                if x:
+                    out[k] += v * x
+    return out
 
 
 def multi_factorial(exp) -> int:

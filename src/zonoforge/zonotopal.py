@@ -12,6 +12,15 @@ Every constructor computes the Hilbert function three ways -- valuation
 histogram, power-ideal quotient, primal-space dimensions -- and raises
 ConsistencyError if they disagree: the artifact is its own theorem checker.
 
+Every spanning set here (the central, full and family-short spaces, the
+passive-set spans and the r37 patch) is a span of products p_Y read as
+integer rows from the configuration's subset-product table (`_span`), so
+each product is built once per configuration and none becomes an HPoly;
+only a product that a bundle or an IdealGens holds is made into one, by
+`subset_polynomial`.  Power ideals do not read the table: `facet_powers`
+writes each (v . t)^e down by the multinomial theorem, so the quotient
+route shares no product code with the space route it checks.
+
 Shared routes, one owner each: `facet_powers` builds every power ideal's
 facet-normal powers; `deletion_intersection` intersects the central spaces
 of single-column deletions (the semi-internal space for I, and with every
@@ -24,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from math import factorial, prod
 
 from .config import (
     Config,
     _mask_to_set,
+    _product,
     SemiExternalFamily,
     bases,
     ensure_family,
@@ -50,7 +61,7 @@ from .config import (
 from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, MissingB0, NotIndependent
 from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
 from .linalg import rank as mat_rank, row_basis
-from .poly import HPoly, pair, perp_space_gens
+from .poly import HPoly, monomials, multi_factorial, pair, perp_space_gens
 from .config import normal_power_condition, span_le
 
 
@@ -154,36 +165,46 @@ def _augment(c: Config, extra_cols) -> Config:
     return Config(c.columns + tuple(c.columns[j] for j in sorted(extra_cols)))
 
 
+def _span(c: Config, masks) -> GradedSubspace:
+    """Span of the products p_Y over the column masks, on the integer rows
+    of the configuration's product table."""
+    by_degree: dict = {}
+    for mask in masks:
+        by_degree.setdefault(mask.bit_count(), []).append(_product(c, mask)[0])
+    return GradedSubspace.from_components(c.n, by_degree)
+
+
 @lru_cache(maxsize=None)
 def central_space(c: Config) -> GradedSubspace:
     """Span of the products over short subsets (complement still spans)."""
-    everything = frozenset(range(c.ncols))
-    polys = []
-    for mask in range(1 << c.ncols):
-        y = frozenset(i for i in range(c.ncols) if mask >> i & 1)
-        if rank_of(c, everything - y) == c.n:
-            polys.append(subset_polynomial(c, y))
-    return GradedSubspace.from_spanning(c.n, polys)
+    full = (1 << c.ncols) - 1
+    return _span(
+        c,
+        [m for m in range(full + 1) if rank_of(c, _mask_to_set(full ^ m)) == c.n],
+    )
 
 
-@lru_cache(maxsize=None)
 def full_span_space(c: Config) -> GradedSubspace:
     """Span of the products over all column subsets, long ones included."""
-    polys = []
-    for mask in range(1 << c.ncols):
-        y = frozenset(i for i in range(c.ncols) if mask >> i & 1)
-        polys.append(subset_polynomial(c, y))
-    return GradedSubspace.from_spanning(c.n, polys)
+    return _span(c, range(1 << c.ncols))
 
 
 def facet_powers(c: Config, exponent) -> list:
     """Each facet normal raised to exponent(facet); a facet whose exponent
-    is None contributes nothing.  Every power ideal is built from these."""
+    is None contributes nothing.  Every power ideal is built from these.
+
+    (v . t)^e is written down by the multinomial theorem, coefficient
+    e!/a! * v^a at t^a, and shares no code with the product table: the
+    quotient route stays independent of the space route."""
     out = []
     for f in facets(c):
         e = exponent(f)
         if e is not None:
-            out.append(HPoly.linear_form(f.normal) ** e)
+            coeffs = {
+                a: factorial(e) // multi_factorial(a) * prod(map(pow, f.normal, a))
+                for a in monomials(c.n, e)
+            }
+            out.append(HPoly(c.n, coeffs))
     return out
 
 
@@ -198,8 +219,9 @@ def cocircuit_gens(c: Config) -> IdealGens:
 
 @lru_cache(maxsize=None)
 def central(c: Config) -> Bundle:
-    qb = tuple((b, subset_polynomial(c, passive_set(c, b))) for b in bases(c))
-    p_from_q = GradedSubspace.from_spanning(c.n, [q for _, q in qb])
+    passive = [passive_set(c, b) for b in bases(c)]
+    qb = tuple((b, subset_polynomial(c, y)) for b, y in zip(bases(c), passive))
+    p_from_q = _span(c, map(set_to_mask, passive))
     p_space = central_space(c)
     _check(
         p_from_q == p_space,
@@ -232,12 +254,17 @@ def central(c: Config) -> Bundle:
 
 def _family_short_space(c: Config, fam: SemiExternalFamily) -> GradedSubspace:
     """Span of p_Y over subsets Y missing at least one family member."""
+    full = (1 << c.ncols) - 1
     shorts = set()
     for i_set in fam:
-        free = sorted(frozenset(range(c.ncols)) - i_set)
-        for mask in range(1 << len(free)):
-            shorts.add(frozenset(free[k] for k in range(len(free)) if mask >> k & 1))
-    return GradedSubspace.from_spanning(c.n, [subset_polynomial(c, y) for y in shorts])
+        free = full ^ set_to_mask(i_set)
+        sub = free
+        while True:  # every submask of free, free itself down to 0
+            shorts.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return _span(c, sorted(shorts))
 
 
 def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
@@ -246,8 +273,9 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     fam = ensure_family(c, fam)
     member_set = set(fam.members)
 
-    qb = tuple((s, subset_polynomial(c, passive_set(c, s))) for s in fam)
-    p_from_q = GradedSubspace.from_spanning(c.n, [q for _, q in qb])
+    passive = [passive_set(c, s) for s in fam]
+    qb = tuple((s, subset_polynomial(c, y)) for s, y in zip(fam, passive))
+    p_from_q = _span(c, map(set_to_mask, passive))
     p_space = _family_short_space(c, fam)
     _check(
         p_from_q == p_space,
@@ -490,13 +518,12 @@ def r37_sides(c: Config, i_set) -> tuple:
     order = order_with_last(c, i_set)
     b_plain = set(internal_bases(c, order=order))
     b_rel = i_internal_bases(c, i_set)
-    extra = [
-        subset_polynomial(c, passive_set(c, b, order))
-        for b in b_rel
-        if b not in b_plain
-    ]
+    extra = _span(
+        c,
+        [set_to_mask(passive_set(c, b, order)) for b in b_rel if b not in b_plain],
+    )
     lhs = deletion_intersection(c, i_set)
-    rhs = add(internal_space(c), GradedSubspace.from_spanning(c.n, extra))
+    rhs = add(internal_space(c), extra)
     return lhs, rhs, len(b_plain), len(b_rel)
 
 
