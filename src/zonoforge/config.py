@@ -6,21 +6,29 @@ Columns are addressed by index 0..N-1; a "column set" is a frozenset of
 indices.  Enumerations are returned in lexicographic bitmask order (subset S
 ordered by sum(2^i for i in S)), which makes every listing deterministic.
 
-Two tables carry every matroid query: the rank cache (`rank_of`, at most
-one elimination per configuration and column set) and the facet table
-(`facets`, one normal per spanned hyperplane).  Span tests and passive sets compare
-cached ranks, and internal activity looks the hyperplane of a subbasis
-up in the facet table; none of them eliminates per query.  A Config
-computes its hash once, so a cache lookup costs no rehash of its entries.
+A Config keeps its columns as integer rows (`_ints`): each column times
+the lcm of its denominators, a nonzero scaling that changes no rank and
+no hyperplane membership, so no matroid query turns Fractions into ints.
+The rank cache (`rank_of`, at most one elimination per configuration and
+column set) answers span tests and passive sets by comparing ranks.
+`independents` extends the echelon of each independent set by one column,
+and `facets` skips every (n-1)-set inside a hyperplane it has already found
+and tests membership by an integer dot product.  A Config computes its
+hash once, so a cache lookup costs no rehash of its entries.
 
-Each Config also carries its subset-product table: column bitmask ->
-p_Y = prod_{x in Y} x as an integer coefficient row and a denominator.
-It starts empty and `_product` fills it on demand by the mask recursion
-p_Y = p_{Y - max Y} * l_{max Y}, so every product is one multiplication
-of a stored one and is built once per configuration.  The table is not a
-field (equality, hash and repr ignore it); it lives and dies with its
-Config, and a derived Config starts with an empty one.
-`subset_polynomial` reads it.
+Each Config also carries two private tables, built at most once each:
+- the subset-product table: column bitmask -> p_Y = prod_{x in Y} x as an
+  integer coefficient row and a denominator, filled on demand by `_product`
+  through the mask recursion p_Y = p_{Y - max Y} * l_{max Y}, so every
+  product is one multiplication of a stored one; `subset_polynomial`
+  reads it;
+- the matroid table: the (n-1)-set -> facet map, with each facet's
+  off-hyperplane columns, which internal activity reads (no activity test
+  eliminates), and the central space of each single-column deletion X - x,
+  which `zonotopal.deletion_intersection` reads.  It holds `central_space`'s
+  own results, never an intersection.
+Neither is a field (equality, hash and repr ignore them); they live and die
+with their Config, and a derived Config starts with empty ones.
 
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
@@ -35,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .errors import (
     BadB0,
@@ -46,7 +55,7 @@ from .errors import (
     RankDeficient,
     ZeroColumn,
 )
-from .linalg import dot, frac, matrix, nullspace, primitive_integer, rank
+from .linalg import _integer_row, echelon, frac, matrix, nullspace, primitive_integer, rank
 from .poly import HPoly, _times_linear, linform_product
 
 
@@ -68,7 +77,10 @@ class Config:
                 raise DimensionMismatch(f"column {i} has length {len(col)}, expected {n}")
             if all(x == 0 for x in col):
                 raise ZeroColumn(i)
-        r = rank(cols)
+        # the columns as integer rows, which every matroid query reads
+        ints = tuple(tuple(_integer_row(col)) for col in cols)
+        object.__setattr__(self, "_ints", ints)
+        r = len(echelon(ints, n))
         if r != n:
             raise RankDeficient(r, n)
         if self.b0 is not None:
@@ -101,9 +113,12 @@ class Config:
         object.__setattr__(
             self, "_hash", hash((self.columns, self.b0, self.lam, self.lam_b0))
         )
-        # the subset-product table (column mask -> p_Y), filled by _product;
-        # not a field, so equality, hash and repr never see it
+        # the subset-product table (column mask -> p_Y), filled by _product,
+        # and the matroid table (the subbasis facet map and the central
+        # spaces of single-column deletions), filled on first use; neither is
+        # a field, so equality, hash and repr never see them
         object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_tables", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,7 +166,7 @@ def set_to_mask(cols) -> int:
 
 @lru_cache(maxsize=None)
 def rank_of(c: Config, cols: frozenset) -> int:
-    return rank(c.subset_rows(cols))
+    return len(echelon([c._ints[i] for i in cols], c.n))
 
 
 def is_independent(c: Config, cols) -> bool:
@@ -161,20 +176,23 @@ def is_independent(c: Config, cols) -> bool:
 
 @lru_cache(maxsize=None)
 def independents(c: Config) -> tuple:
-    """All independent column sets, lexicographic bitmask order."""
-    out = []
-    indep = {0}
-    for mask in range(1 << c.ncols):
-        if mask:
-            low = mask & -mask
-            # downward closed: a set can only be independent if dropping its
-            # lowest element leaves an independent set
-            if (mask ^ low) not in indep:
-                continue
-        cols = _mask_to_set(mask)
-        if rank_of(c, cols) == len(cols):
-            indep.add(mask)
-            out.append(cols)
+    """All independent column sets, lexicographic bitmask order.
+
+    Independence is downward closed, so a set is a candidate only when
+    dropping its lowest column leaves an independent set, whose echelon is
+    then extended by that one column: each candidate costs one reduction.
+    """
+    out = [frozenset()]
+    echelons = {0: []}  # independent mask -> its echelon, for this call only
+    for mask in range(1, 1 << c.ncols):
+        low = mask & -mask
+        prev = echelons.get(mask ^ low)
+        if prev is None:
+            continue
+        ech = echelon([c._ints[low.bit_length() - 1]], c.n, prev)
+        if len(ech) > len(prev):
+            echelons[mask] = ech
+            out.append(_mask_to_set(mask))
     return tuple(out)
 
 
@@ -201,18 +219,26 @@ class Facet:
 
 @lru_cache(maxsize=None)
 def facets(c: Config) -> tuple:
-    """One Facet per distinct hyperplane spanned by columns, sorted by normal."""
+    """One Facet per distinct hyperplane spanned by columns, sorted by normal.
+
+    An (n-1)-set inside the members of a hyperplane already found spans
+    that hyperplane or less, so it is skipped; any other set of rank n-1
+    spans a new one.  Membership is an integer dot product.
+    """
+    ints = c._ints
     seen = {}
+    found = []  # member masks of the hyperplanes so far
     for sub in combinations(range(c.ncols), c.n - 1):
-        rows = c.subset_rows(sub)
-        if rank(rows) != c.n - 1:
+        sub_mask = set_to_mask(sub)
+        if any(sub_mask & m == sub_mask for m in found):
             continue
-        normal = primitive_integer(nullspace(rows, ncols=c.n)[0])
-        if normal in seen:
+        if rank_of(c, frozenset(sub)) != c.n - 1:
             continue
+        normal = primitive_integer(nullspace([ints[i] for i in sub], ncols=c.n)[0])
         members = frozenset(
-            i for i in range(c.ncols) if dot(normal, c.columns[i]) == 0
+            i for i, v in enumerate(ints) if not sum(map(mul, normal, v))
         )
+        found.append(set_to_mask(members))
         seen[normal] = Facet(members, normal, c.ncols - len(members))
     return tuple(seen[k] for k in sorted(seen))
 
@@ -270,45 +296,50 @@ def valuation_histogram(c: Config, family, order=None) -> tuple:
 
 
 def _subbasis_facets(c: Config) -> dict:
-    """(n-1)-column set -> the facet whose members contain it.
+    """(n-1)-column mask -> the columns off the facet whose members contain
+    it, built once per Config and kept in its matroid table.
 
     An independent (n-1)-set spans exactly one hyperplane, so its entry is
-    its facet.  Dependent sets may land in any facet holding them; the
+    its facet's.  Dependent sets may land in any facet holding them; the
     activity test never asks for one.
     """
-    return {
-        frozenset(sub): f
-        for f in facets(c)
-        for sub in combinations(sorted(f.members), c.n - 1)
-    }
+    facet_of = c._tables.get("subbasis_facets")
+    if facet_of is None:
+        facet_of = {}
+        for f in facets(c):
+            outside = tuple(x for x in range(c.ncols) if x not in f.members)
+            for sub in combinations(sorted(f.members), c.n - 1):
+                facet_of[set_to_mask(sub)] = outside
+        c._tables["subbasis_facets"] = facet_of
+    return facet_of
 
 
-def _is_active(c: Config, b: int, basis, pos, facet_of: dict) -> bool:
-    """b in basis is internally active: b is the order-largest column off
-    the hyperplane spanned by basis - {b}."""
-    sub = frozenset(basis) - {b}
-    f = facet_of.get(sub)
-    if f is None:
+def _is_active(c: Config, b: int, basis_mask: int, pos, facet_of: dict) -> bool:
+    """b in the basis is internally active: b is the order-largest column
+    off the hyperplane spanned by basis - {b}."""
+    sub = basis_mask ^ (1 << b)
+    outside = facet_of.get(sub)
+    if outside is None:
         raise ConsistencyError(
             f"facet table has no hyperplane through the independent columns "
-            f"{sorted(sub)}: columns {[list(map(str, v)) for v in c.columns]}"
+            f"{sorted(_mask_to_set(sub))}: columns {[list(map(str, v)) for v in c.columns]}"
         )
-    outside = [x for x in range(c.ncols) if x not in f.members]
     return max(outside, key=pos.__getitem__) == b
 
 
 def internal_bases(c: Config, order=None) -> tuple:
     """Bases with no internally active element (w.r.t. the given order).
 
-    Each basis - {b} is looked up in the facet table, built once per call;
-    no activity test eliminates.
+    Each basis - {b} is looked up in the subbasis facet map, built once per
+    configuration; no activity test eliminates.
     """
     order = index_order(c) if order is None else tuple(order)
     pos = {j: k for k, j in enumerate(order)}
     facet_of = _subbasis_facets(c)
     out = []
     for b_set in bases(c):
-        if not any(_is_active(c, b, b_set, pos, facet_of) for b in b_set):
+        mask = set_to_mask(b_set)
+        if not any(_is_active(c, b, mask, pos, facet_of) for b in b_set):
             out.append(b_set)
     return tuple(out)
 
@@ -327,7 +358,8 @@ def i_internal_bases(c: Config, i_set) -> tuple:
     facet_of = _subbasis_facets(c)
     out = []
     for b_set in bases(c):
-        if not any(_is_active(c, b, b_set, pos, facet_of) for b in b_set & i_set):
+        mask = set_to_mask(b_set)
+        if not any(_is_active(c, b, mask, pos, facet_of) for b in b_set & i_set):
             out.append(b_set)
     return tuple(out)
 
@@ -437,8 +469,8 @@ def _product(c: Config, mask: int) -> tuple:
     monomials(n, #Y), denominator), read from c's product table.
 
     A missing entry is built from its longest stored prefix by
-    p_Y = p_{Y - max Y} * l_{max Y}; each column's denominators are cleared
-    into the entry's denominator, so the rows stay integer.  The empty
+    p_Y = p_{Y - max Y} * l_{max Y} on the column's integer row, whose
+    scale joins the entry's denominator, so the rows stay integer.  The empty
     product 1 is never stored.
     """
     table = c._products
@@ -448,10 +480,9 @@ def _product(c: Config, mask: int) -> tuple:
         mask ^= 1 << (mask.bit_length() - 1)
     row, den = table[mask] if mask else ((1,), 1)
     for mask in reversed(chain):
-        col = c.columns[mask.bit_length() - 1]
-        d = lcm(*[x.denominator for x in col])
-        vec = [x.numerator * (d // x.denominator) for x in col]
-        row, den = tuple(_times_linear(row, vec, mask.bit_count() - 1)), den * d
+        j = mask.bit_length() - 1
+        d = lcm(*[x.denominator for x in c.columns[j]])
+        row, den = tuple(_times_linear(row, c._ints[j], mask.bit_count() - 1)), den * d
         table[mask] = (row, den)
     return row, den
 

@@ -224,10 +224,12 @@ def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     """Degreewise intersection by Zassenhaus' trick: reduce [u | u] for u in A
     over [v | 0] for v in B.  A combination reads [u + v | u], zero on the left
     exactly when u = -v lies in both, so the right halves of the reduced rows
-    pivoting in the right half span A meet B."""
+    pivoting in the right half span A meet B.  Those rows are zero on the
+    left, lead with a 1 and are zero in every other pivot column, so their
+    right halves already are the canonical basis; nothing is reduced again."""
     if a.nvars != b.nvars:
         raise DimensionMismatch("intersection across different rings")
-    comps = {}
+    comps = []
     for d, basis_a in a.comps:
         basis_b = b.component(d)
         if not basis_b:
@@ -235,8 +237,10 @@ def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
         m = len(basis_a[0])
         zeros = (Fraction(0),) * m
         red, piv = rref(tuple(u + u for u in basis_a) + tuple(v + zeros for v in basis_b))
-        comps[d] = [row[m:] for row, p in zip(red, piv) if p >= m]
-    return GradedSubspace.from_components(a.nvars, comps)
+        basis = tuple(row[m:] for row, p in zip(red, piv) if p >= m)
+        if basis:
+            comps.append((d, basis))
+    return GradedSubspace(a.nvars, tuple(comps))
 
 
 def add(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:

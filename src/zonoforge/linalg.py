@@ -46,10 +46,6 @@ def matrix(rows) -> Matrix:
     return out
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 class _Ints(dict):
     """Fraction of each small int, made once; other ints are made on demand."""
 

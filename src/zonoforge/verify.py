@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .config import (
     Config,
@@ -18,7 +17,6 @@ from .config import (
     bases,
     extend_basis,
     independents,
-    is_coloop,
     is_independent,
     normal_power_condition,
     valuation,
@@ -40,7 +38,7 @@ from .graded import (
     ideals_equal,
     kernel,
 )
-from .linalg import matrix, rank
+from .linalg import echelon
 from .zonotopal import (
     central,
     codimension_counts,
@@ -509,13 +507,15 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
         pool = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
         for ncols in range(n, max_cols + 1):
             for cols in itertools.combinations_with_replacement(pool, ncols):
-                if rank(matrix(cols)) < n:
+                # both skips are decided on the 0/1 columns themselves, so a
+                # skipped configuration builds no Config and no rank entries
+                if len(echelon(cols, n)) < n:
                     report["configs_skipped_rank"] += 1
                     continue
-                c = Config(tuple(tuple(Fraction(x) for x in v) for v in cols))
-                if any(is_coloop(c, j) for j in range(ncols)):
+                if any(len(echelon(cols[:j] + cols[j + 1:], n)) < n for j in range(ncols)):
                     report["configs_skipped_coloop"] += 1
                     continue
+                c = Config(cols)
                 report["configs_examined"] += 1
                 for tri in itertools.combinations(range(ncols), 3):
                     i_set = frozenset(tri)

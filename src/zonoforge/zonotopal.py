@@ -24,7 +24,8 @@ route shares no product code with the space route it checks.
 Shared routes, one owner each: `facet_powers` builds every power ideal's
 facet-normal powers; `deletion_intersection` intersects the central spaces
 of single-column deletions (the semi-internal space for I, and with every
-column the internal space); `r37_sides` computes both sides of the
+column the internal space), each built once per configuration and kept in
+its matroid table; `r37_sides` computes both sides of the
 patched-extension identity for `internal_extension_check` and for the
 re-verification in `verify`; `_check_i_set` validates an index set I.
 """
@@ -351,12 +352,23 @@ def semi_internal_i_gens(c: Config, i_set) -> IdealGens:
     return IdealGens.make(c.n, gens)
 
 
+def _deletion_space(c: Config, x: int) -> GradedSubspace:
+    """The central space of X - x, kept in c's matroid table, so each
+    deletion is built once per configuration.  The table holds
+    `central_space`'s own result, never an intersection."""
+    key = ("deletion", x)
+    space = c._tables.get(key)
+    if space is None:
+        space = c._tables[key] = central_space(_delete(c, x))
+    return space
+
+
 def deletion_intersection(c: Config, cols) -> GradedSubspace:
     """Intersection of the central spaces of the deletions X - x, x in cols
     (each a non-coloop); the central space of X itself when cols is empty."""
     if not cols:
         return central_space(c)
-    return reduce(intersect, (central_space(_delete(c, x)) for x in sorted(cols)))
+    return reduce(intersect, (_deletion_space(c, x) for x in sorted(cols)))
 
 
 @lru_cache(maxsize=None)

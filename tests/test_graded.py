@@ -224,6 +224,10 @@ def _assert_intersections_match(a, b):
         got = intersect(x, y)
         assert got == reference_intersect(x, y)
         assert all(type(v) is Fraction for _, basis in got.comps for row in basis for v in row)
+        # the right halves are taken as they come out of the Zassenhaus
+        # reduction: already canonical, with no zero component
+        assert got == GradedSubspace.from_components(x.nvars, dict(got.comps))
+        assert all(basis for _, basis in got.comps)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -244,6 +248,14 @@ def test_intersect_matches_complement_route(seed):
 def test_intersect_matches_complement_route_hypothesis(nvars, relations, rng):
     a, b = _space_pair(rng, nvars, relations)
     _assert_intersections_match(a, b)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_intersect_of_disjoint_supports_is_zero(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(2, 4)
+    a, b = _space_pair(rng, nvars, ["trivial"] * 4)
+    assert intersect(a, b) == reference_intersect(a, b) == GradedSubspace.zero(nvars)
 
 
 def test_intersect_rejects_different_rings():

@@ -243,14 +243,17 @@ def test_matroid_queries_match_elimination_routes_hypothesis(c, seed):
     ids=["internal_bases", "i_internal_bases"],
 )
 def test_missing_facet_is_a_consistency_error(monkeypatch, ex25, query):
-    table = facets(ex25)
+    # a fresh Config: the shared fixture may already hold its subbasis facet
+    # map, which the patched table would then never reach
+    c = Config(ex25.columns)
+    table = facets(c)
     dropped = next(f for f in table if f.members == frozenset({0, 1}))
     monkeypatch.setattr(config, "facets", lambda c: tuple(f for f in table if f is not dropped))
     with pytest.raises(ConsistencyError) as info:
-        query(ex25)
+        query(c)
     msg = str(info.value)
     assert "[0, 1]" in msg
-    assert str([list(map(str, v)) for v in ex25.columns]) in msg
+    assert str([list(map(str, v)) for v in c.columns]) in msg
 
 
 # -- one hash per Config --------------------------------------------------------

@@ -1,0 +1,248 @@
+"""The per-configuration matroid tables against the routes they replaced.
+
+A Config keeps its columns as integer rows (each column scaled by the lcm
+of its denominators), `independents` extends the echelon of each set's
+parent by one column, `facets` skips the (n-1)-sets inside a hyperplane
+already found, and each Config keeps its subbasis facet map and the central
+spaces of its single-column deletions.  The oracles below are verbatim
+copies of the earlier routes.  `rank_of`'s earlier body (the rank of the
+chosen Fraction columns) is inlined into `reference_independents`, so no
+oracle reads the integer rows.  The configurations mix denominators
+within a column, so a wrong scaling changes ranks and hyperplanes.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zonoforge import config
+from zonoforge.config import (
+    Config,
+    Facet,
+    _mask_to_set,
+    _subbasis_facets,
+    facets,
+    i_internal_bases,
+    independents,
+    internal_bases,
+    is_coloop,
+    rank_of,
+)
+from zonoforge.errors import RankDeficient
+from zonoforge.graded import intersect
+from zonoforge.linalg import nullspace, primitive_integer, rank
+from zonoforge.zonotopal import _augment, _delete, central_space, deletion_intersection
+
+
+# -- the earlier routes, verbatim ---------------------------------------------
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reference_independents(c: Config) -> tuple:
+    """All independent column sets, lexicographic bitmask order."""
+    out = []
+    indep = {0}
+    for mask in range(1 << c.ncols):
+        if mask:
+            low = mask & -mask
+            # downward closed: a set can only be independent if dropping its
+            # lowest element leaves an independent set
+            if (mask ^ low) not in indep:
+                continue
+        cols = _mask_to_set(mask)
+        if rank(c.subset_rows(cols)) == len(cols):
+            indep.add(mask)
+            out.append(cols)
+    return tuple(out)
+
+
+def reference_facets(c: Config) -> tuple:
+    """One Facet per distinct hyperplane spanned by columns, sorted by normal."""
+    seen = {}
+    for sub in combinations(range(c.ncols), c.n - 1):
+        rows = c.subset_rows(sub)
+        if rank(rows) != c.n - 1:
+            continue
+        normal = primitive_integer(nullspace(rows, ncols=c.n)[0])
+        if normal in seen:
+            continue
+        members = frozenset(
+            i for i in range(c.ncols) if dot(normal, c.columns[i]) == 0
+        )
+        seen[normal] = Facet(members, normal, c.ncols - len(members))
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def reference_deletion_intersection(c: Config, cols):
+    """Intersection of the central spaces of the deletions X - x, x in cols
+    (each a non-coloop); the central space of X itself when cols is empty."""
+    if not cols:
+        return central_space(c)
+    return reduce(intersect, (central_space(_delete(c, x)) for x in sorted(cols)))
+
+
+# -- configurations -------------------------------------------------------------
+
+
+def _entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3, 4)))
+
+
+def rational_config(rng: random.Random, n: int, ncols: int) -> Config:
+    """Entries with mixed denominators, full rank, with repeated columns and
+    rational multiples (negative ones included) of earlier columns."""
+    while True:
+        cols = []
+        while len(cols) < ncols:
+            kind = rng.random()
+            if cols and kind < 0.15:
+                cols.append(rng.choice(cols))
+            elif cols and kind < 0.35:
+                k = _entry(rng) or Fraction(-3, 2)
+                cols.append(tuple(k * x for x in rng.choice(cols)))
+            else:
+                v = tuple(_entry(rng) for _ in range(n))
+                if any(v):
+                    cols.append(v)
+        try:
+            return Config(tuple(cols))
+        except RankDeficient:
+            continue
+
+
+def seeded_configs() -> list:
+    rng = random.Random(909)
+    return [rational_config(rng, n, rng.randint(n, 7)) for n in (2, 3, 4) for _ in range(6)]
+
+
+CONFIGS = seeded_configs()
+
+
+def check_tables(c: Config, rng: random.Random) -> None:
+    assert facets(c) == reference_facets(c)
+    assert independents(c) == reference_independents(c)
+    for mask in range(1 << c.ncols):
+        cols = _mask_to_set(mask)
+        assert rank_of(c, cols) == rank(c.subset_rows(cols))
+    free = [x for x in range(c.ncols) if not is_coloop(c, x)]
+    choices = [frozenset(s) for k in range(len(free) + 1) for s in combinations(free, k)]
+    # each deletion is asked for under several I, so the table is read
+    # after it has been filled
+    for i_set in rng.sample(choices, min(6, len(choices))) + [frozenset(free)]:
+        assert deletion_intersection(c, i_set) == reference_deletion_intersection(c, i_set)
+
+
+@pytest.mark.parametrize("k", range(len(CONFIGS)))
+def test_tables_match_the_earlier_routes(k):
+    check_tables(CONFIGS[k], random.Random(k))
+
+
+def test_inputs_cover_denominators_coloops_and_sizes():
+    assert {c.n for c in CONFIGS} == {2, 3, 4}
+    # a column whose entries have different denominators
+    assert any(
+        len({x.denominator for x in v}) > 1 for c in CONFIGS for v in c.columns
+    )
+    assert any(any(is_coloop(c, x) for x in range(c.ncols)) for c in CONFIGS)
+    assert any(not any(is_coloop(c, x) for x in range(c.ncols)) for c in CONFIGS)
+    assert any(len(set(c.columns)) < c.ncols for c in CONFIGS)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(2, 4))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2, 3, 4)))
+    cols = []
+    for _ in range(draw(st.integers(1, 7 - n))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "scale"]))
+        if cols and kind != "fresh":
+            v = draw(st.sampled_from(cols))
+            k = Fraction(1) if kind == "repeat" else draw(entry.filter(bool))
+            cols.append(tuple(k * x for x in v))
+        else:
+            cols.append(draw(st.tuples(*[entry] * n).filter(any)))
+    # unit vectors fill up the rank, so no draw is thrown away and N <= 7
+    for i in range(n):
+        if rank(cols) == n:
+            break
+        cols.append(tuple(Fraction(int(i == j)) for j in range(n)))
+    return Config(tuple(cols))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(configs(), st.integers(0, 2**16))
+def test_tables_match_the_earlier_routes_hypothesis(c, seed):
+    check_tables(c, random.Random(seed))
+
+
+def test_facets_rank_no_set_inside_a_found_hyperplane(monkeypatch):
+    # five columns on the plane z = 0, then e3: after the first pair every
+    # pair of plane columns is skipped, and only the pairs with e3 remain
+    c = Config(((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (2, 1, 0), (0, 0, 1)))
+    ranked = []
+    real = config.rank_of
+    monkeypatch.setattr(config, "rank_of", lambda c, cols: ranked.append(cols) or real(c, cols))
+    assert config.facets.__wrapped__(c) == reference_facets(c)
+    assert ranked == [frozenset({0, 1})] + [frozenset({x, 5}) for x in range(5)]
+
+
+def test_integer_rows_scale_each_column_by_its_denominators():
+    c = Config(((Fraction(1, 2), Fraction(1, 3)), (Fraction(-3, 4), 0), (2, 6)))
+    assert c._ints == ((3, 2), (-3, 0), (2, 6))
+    assert all(type(x) is int for v in c._ints for x in v)
+
+
+# -- lifetime of the matroid table ----------------------------------------------
+
+K4 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1))
+
+
+def _fill(c: Config) -> None:
+    internal_bases(c)
+    deletion_intersection(c, range(c.ncols))
+
+
+def test_filling_the_table_leaves_equality_hash_and_repr_unchanged():
+    c, twin = Config(K4), Config(K4)
+    before = (hash(c), repr(c))
+    _fill(c)
+    assert "subbasis_facets" in c._tables
+    assert {("deletion", x) for x in range(c.ncols)} <= set(c._tables)
+    assert (hash(c), repr(c)) == before
+    assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+    assert "_tables" not in repr(c)
+
+
+def test_equal_configs_share_no_table():
+    a, b = Config(K4), Config(K4)
+    assert a == b and a._tables is not b._tables
+    i_internal_bases(a, {0})
+    assert a._tables and b._tables == {}
+
+
+def test_derived_configs_start_with_an_empty_table():
+    c = Config(K4, lam=(1, 2, 3, 4, 5, 6))
+    _fill(c)
+    assert replace(c, lam=None)._tables == {}
+    assert replace(c)._tables == {}
+    assert _delete(c, 0)._tables == {}
+    assert _augment(c, {0, 5})._tables == {}
+
+
+def test_the_table_holds_central_space_results_not_intersections():
+    c = Config(K4)
+    deletion_intersection(c, {0, 1})
+    assert c._tables[("deletion", 0)] is central_space(_delete(c, 0))
+    assert set(c._tables) == {("deletion", 0), ("deletion", 1)}
+    assert _subbasis_facets(c) is c._tables["subbasis_facets"]
