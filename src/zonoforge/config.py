@@ -28,7 +28,10 @@ Each Config also carries two private tables, built at most once each:
   which `zonotopal.deletion_intersection` reads.  It holds `central_space`'s
   own results, never an intersection.
 Neither is a field (equality, hash and repr ignore them); they live and die
-with their Config, and a derived Config starts with empty ones.
+with their Config, and a derived Config starts with empty ones.  The
+coloop mask is found once per Config and kept on it the same way.  A
+deletion X - x of a non-coloop (`_delete`) is built from its parent's
+normalized columns and integer rows, with nothing validated again.
 
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
@@ -55,7 +58,7 @@ from .errors import (
     RankDeficient,
     ZeroColumn,
 )
-from .linalg import _integer_row, echelon, frac, matrix, nullspace, primitive_integer, rank
+from .linalg import _integer_row, echelon, frac, integer_nullspace, matrix, rank
 from .poly import HPoly, _times_linear, linform_product
 
 
@@ -79,7 +82,6 @@ class Config:
                 raise ZeroColumn(i)
         # the columns as integer rows, which every matroid query reads
         ints = tuple(tuple(_integer_row(col)) for col in cols)
-        object.__setattr__(self, "_ints", ints)
         r = len(echelon(ints, n))
         if r != n:
             raise RankDeficient(r, n)
@@ -108,6 +110,13 @@ class Config:
                 raise DimensionMismatch(
                     f"lambda_b0 has {len(self.lam_b0)} offsets, expected one per b0 vector ({n})"
                 )
+        self._start_tables(ints)
+
+    def _start_tables(self, ints) -> None:
+        """Set the private attributes of a validated Config: its integer
+        columns, its hash and empty tables.  None of them is a field, so
+        equality, hash and repr never see them."""
+        object.__setattr__(self, "_ints", ints)
         # every cache lookup hashes its Config; hashing the Fractions each
         # time would cost more than the lookup saves
         object.__setattr__(
@@ -115,10 +124,11 @@ class Config:
         )
         # the subset-product table (column mask -> p_Y), filled by _product,
         # and the matroid table (the subbasis facet map and the central
-        # spaces of single-column deletions), filled on first use; neither is
-        # a field, so equality, hash and repr never see them
+        # spaces of single-column deletions), filled on first use
         object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_tables", {})
+        # the coloop mask, set by _coloop_mask on first use
+        object.__setattr__(self, "_coloops", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -234,7 +244,7 @@ def facets(c: Config) -> tuple:
             continue
         if rank_of(c, frozenset(sub)) != c.n - 1:
             continue
-        normal = primitive_integer(nullspace([ints[i] for i in sub], ncols=c.n)[0])
+        normal = integer_nullspace([ints[i] for i in sub], c.n)[0]
         members = frozenset(
             i for i, v in enumerate(ints) if not sum(map(mul, normal, v))
         )
@@ -243,8 +253,39 @@ def facets(c: Config) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
+def _coloop_mask(c: Config) -> int:
+    """Bitmask of the columns whose deletion drops the rank, found once per
+    Config (one echelon of the other columns each) and kept on it."""
+    mask = c._coloops
+    if mask is None:
+        ints = c._ints
+        mask = sum(
+            1 << i
+            for i in range(c.ncols)
+            if len(echelon(ints[:i] + ints[i + 1:], c.n)) < c.n
+        )
+        object.__setattr__(c, "_coloops", mask)
+    return mask
+
+
 def is_coloop(c: Config, i: int) -> bool:
-    return rank_of(c, frozenset(range(c.ncols)) - {i}) < c.n
+    return bool(_coloop_mask(c) >> i & 1)
+
+
+def _delete(c: Config, col: int) -> Config:
+    """X - col, without b0 and offsets: equal to Config of the remaining
+    columns, but built from c's normalized and integer columns, since
+    deleting a non-coloop from a full-rank configuration leaves it full
+    rank and nothing needs validating again.  A coloop raises the
+    RankDeficient (rank n - 1) that Config would."""
+    if is_coloop(c, col):
+        raise RankDeficient(c.n - 1, c.n)
+    child = object.__new__(Config)
+    object.__setattr__(child, "columns", c.columns[:col] + c.columns[col + 1:])
+    for name in ("b0", "lam", "lam_b0"):
+        object.__setattr__(child, name, None)
+    child._start_tables(c._ints[:col] + c._ints[col + 1:])
+    return child
 
 
 # -- activity and valuation --------------------------------------------------

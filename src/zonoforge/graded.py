@@ -1,9 +1,13 @@
 """Graded subspaces of the polynomial ring and finitely generated ideals.
 
-A GradedSubspace stores, for each degree, a canonical (RREF) row basis of a
-subspace of the homogeneous component, coefficients taken over the graded-lex
-monomial list.  Because the bases are canonical, two graded subspaces are
-equal iff the dataclasses compare equal.
+A GradedSubspace stores, for each degree, the canonical integer basis of a
+subspace of the homogeneous component (linalg.canonical: the reduced
+integer echelon sorted by pivot column, each row primitive with a positive
+pivot), coefficients taken over the graded-lex monomial list.  Because the
+bases are canonical, two graded subspaces are equal iff the dataclasses
+compare equal.  Sums, intersections and containment eliminate these rows
+as they are; Fractions are made only by basis_polys(), which divides each
+row by its pivot and so renders exactly the RREF basis.
 
 An Ideal is the one owner of an ideal's graded components.  It builds them
 degree by degree (Macaulay): I_d is spanned by x_i times the pivot rows kept
@@ -16,20 +20,21 @@ and pivot rows from it; an Ideal lives only for the call that builds it.
 
 The kernel of an ideal under the apolarity action only depends on the
 generators: g(D) annihilates q for every generator g iff every element of
-the ideal annihilates q.  It is computed from the generators by diff_apply,
-independently of Ideal, so the workhorse duality is a real cross-check: for
-any generator set, dim kernel_d + dim I_d = dim of the full degree-d
-component.
+the ideal annihilates q.  It is computed from the generators alone, one
+integer row per generator and target monomial by the closed form
+g(D) t^m = sum_a c_a * m!/(m-a)! * t^(m-a), and never multiplies by a
+variable, so it stays independent of Ideal and the workhorse duality is a
+real cross-check: for any generator set, dim kernel_d + dim I_d = dim of
+the full degree-d component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DimensionMismatch, NoStabilization
-from .linalg import echelon, nullspace, primitive_integer, row_basis, rref
-from .poly import HPoly, _shifts, diff_apply, monomials
+from .linalg import _integer_row, _monic, canonical, echelon, integer_nullspace, primitive_integer
+from .poly import HPoly, _shifts, monomials
 
 
 def component_dim(nvars: int, d: int) -> int:
@@ -39,26 +44,28 @@ def component_dim(nvars: int, d: int) -> int:
 @dataclass(frozen=True)
 class GradedSubspace:
     nvars: int
-    comps: tuple = field(default=())  # ((degree, row-basis matrix), ...) sorted
+    comps: tuple = field(default=())  # ((degree, canonical int rows), ...) sorted
 
     @classmethod
     def from_components(cls, nvars: int, mapping: dict) -> "GradedSubspace":
-        """Degree -> spanning rows (of ints or Fractions), each degree
-        reduced to its canonical basis; zero components are dropped."""
+        """Degree -> spanning integer rows, each degree reduced to its
+        canonical basis; zero components are dropped."""
         comps = []
         for d in sorted(mapping):
-            basis = row_basis(tuple(tuple(r) for r in mapping[d]))
+            basis = canonical(mapping[d], component_dim(nvars, d))
             if basis:
                 comps.append((d, basis))
         return cls(nvars, tuple(comps))
 
     @classmethod
     def from_spanning(cls, nvars: int, polys) -> "GradedSubspace":
+        """The span of polynomials; their Fraction coefficients are scaled
+        to integer rows here, once."""
         by_degree: dict = {}
         for p in polys:
             if p.is_zero:
                 continue
-            by_degree.setdefault(p.degree, []).append(p.coeff_vector())
+            by_degree.setdefault(p.degree, []).append(_integer_row(p.coeff_vector()))
         return cls.from_components(nvars, by_degree)
 
     @classmethod
@@ -88,10 +95,11 @@ class GradedSubspace:
         return tuple(dims)
 
     def basis_polys(self) -> tuple:
+        """The RREF basis: each canonical row divided by its pivot."""
         out = []
         for d, basis in self.comps:
             for row in basis:
-                out.append(HPoly.from_coeff_vector(self.nvars, d, row))
+                out.append(HPoly.from_coeff_vector(self.nvars, d, _monic(row)))
         return tuple(out)
 
 
@@ -177,30 +185,48 @@ class Ideal:
                 self.full_degree = d
 
 
+def _falling(m: tuple, a: tuple) -> int:
+    """m!/(m-a)! for exponent tuples a <= m: the factor D^a brings down
+    from t^m."""
+    out = 1
+    for mi, ai in zip(m, a):
+        for k in range(ai):
+            out *= mi - k
+    return out
+
+
 def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
-    """Degrees 0..dmax of {q : g(D) q = 0 for every generator g}."""
-    comps = {}
+    """Degrees 0..dmax of {q : g(D) q = 0 for every generator g}.
+
+    For a generator g = sum_a c_a t^a of degree e (c scaled to integers),
+    the coefficient of t^u in g(D) q is sum_a c_a * (u+a)!/u! * q_(u+a): one
+    integer row per target monomial u of degree d - e.  The component is
+    the integer nullspace of those rows (everything when there are none).
+    """
+    n = gens.nvars
+    scaled = [
+        (g.degree, [(a, c) for a, c in zip(monomials(n, g.degree), primitive_integer(g.coeff_vector())) if c])
+        for g in gens.gens
+        if not g.is_zero
+    ]
+    comps = []
     for d in range(dmax + 1):
-        mons = monomials(gens.nvars, d)
-        stacked = []
-        for g in gens.gens:
-            if g.degree > d:
+        mons = monomials(n, d)
+        index = {m: k for k, m in enumerate(mons)}
+        rows = []
+        for e, terms in scaled:
+            if e > d:
                 continue
-            target = monomials(gens.nvars, d - g.degree)
-            cols = []
-            for m in mons:
-                r = diff_apply(g, HPoly.monomial(gens.nvars, m))
-                cols.append([r.coeffs.get(t, Fraction(0)) for t in target])
-            for ti in range(len(target)):
-                stacked.append(tuple(col[ti] for col in cols))
-        if stacked:
-            comps[d] = nullspace(tuple(stacked), ncols=len(mons))
-        else:
-            comps[d] = tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(len(mons)))
-                for i in range(len(mons))
-            )
-    return GradedSubspace.from_components(gens.nvars, comps)
+            for u in monomials(n, d - e):
+                row = [0] * len(mons)
+                for a, c in terms:
+                    m = tuple([x + y for x, y in zip(u, a)])
+                    row[index[m]] = c * _falling(m, a)
+                rows.append(row)
+        basis = integer_nullspace(rows, len(mons))
+        if basis:
+            comps.append((d, basis))
+    return GradedSubspace(n, tuple(comps))
 
 
 def hilbert_quotient(gens: IdealGens, cap: int = 40) -> tuple:
@@ -220,13 +246,21 @@ def hilbert_quotient(gens: IdealGens, cap: int = 40) -> tuple:
     raise NoStabilization(cap, tuple(values), gens.nvars, len(gens.gens))
 
 
+def _pivoted(basis) -> list:
+    """A canonical basis as the (pivot column, row) pairs that linalg.canonical
+    and echelon extend."""
+    return [(next(k for k, x in enumerate(row) if x), row) for row in basis]
+
+
 def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     """Degreewise intersection by Zassenhaus' trick: reduce [u | u] for u in A
     over [v | 0] for v in B.  A combination reads [u + v | u], zero on the left
     exactly when u = -v lies in both, so the right halves of the reduced rows
-    pivoting in the right half span A meet B.  Those rows are zero on the
-    left, lead with a 1 and are zero in every other pivot column, so their
-    right halves already are the canonical basis; nothing is reduced again."""
+    zero on the left span A meet B.  B's canonical rows, padded, already
+    are a reduced echelon, so only A's rows are reduced.  The rows zero on
+    the left are primitive with a positive pivot and zero in every other
+    pivot column, so their right halves already are the canonical basis;
+    nothing is reduced again."""
     if a.nvars != b.nvars:
         raise DimensionMismatch("intersection across different rings")
     comps = []
@@ -235,28 +269,34 @@ def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
         if not basis_b:
             continue
         m = len(basis_a[0])
-        zeros = (Fraction(0),) * m
-        red, piv = rref(tuple(u + u for u in basis_a) + tuple(v + zeros for v in basis_b))
-        basis = tuple(row[m:] for row, p in zip(red, piv) if p >= m)
+        zeros = (0,) * m
+        start = [(c, v + zeros) for c, v in _pivoted(basis_b)]
+        reduced = canonical((u + u for u in basis_a), 2 * m, start)
+        basis = tuple([row[m:] for row in reduced if not any(row[:m])])
         if basis:
             comps.append((d, basis))
     return GradedSubspace(a.nvars, tuple(comps))
 
 
 def add(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    """Degreewise sum: b's rows extend a's canonical basis, which is
+    already a reduced echelon."""
     if a.nvars != b.nvars:
         raise DimensionMismatch("sum across different rings")
-    comps = {}
+    comps = []
     for d in sorted({d for d, _ in a.comps} | {d for d, _ in b.comps}):
-        comps[d] = a.component(d) + b.component(d)
-    return GradedSubspace.from_components(a.nvars, comps)
+        basis, extra = a.component(d), b.component(d)
+        if extra:
+            basis = canonical(extra, component_dim(a.nvars, d), _pivoted(basis))
+        comps.append((d, basis))
+    return GradedSubspace(a.nvars, tuple(comps))
 
 
 def contains(a: GradedSubspace, b: GradedSubspace) -> bool:
     """Every component of b lies inside the matching component of a."""
     for d, basis_b in b.comps:
         basis_a = a.component(d)
-        if len(row_basis(basis_a + basis_b)) != len(basis_a):
+        if len(echelon(basis_b, component_dim(a.nvars, d), _pivoted(basis_a))) != len(basis_a):
             return False
     return True
 
@@ -283,7 +323,7 @@ def direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: int | None 
         if ideal.is_full(d):
             stacked_rank = full
         else:
-            stacked_rank = len(echelon(map(primitive_integer, basis_p), full, ideal.pivots(d)))
+            stacked_rank = len(echelon(basis_p, full, ideal.pivots(d)))
         line = {
             "degree": d,
             "dim_space": len(basis_p),

@@ -1,16 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
-A vector is a tuple of fractions.Fraction, a matrix a tuple of equal-length
-row tuples.  Values are rational at every interface; no floats enter
-anywhere.  Elimination itself runs on Python ints: each row is scaled by
-the lcm of its denominators (which changes neither its row space nor the
-reduced form), reduced fraction-free, and turned back into Fractions only
-when a reduced form is returned.  rref() is fully canonical (leading ones,
-pivot columns cleared above and below), so two row spaces are equal iff
-their reduced forms are identical tuples.  echelon() is the one integer
-interface: it takes rows that are already integer and returns the
+Elimination runs on Python ints.  `_eliminate` is the one kernel: rows are
+integer, reduced fraction-free, and every pivot row is primitive with a
+positive pivot.  Two integer interfaces read it: echelon() returns the
 non-reduced integer echelon, for callers that only need ranks and pivot
-rows.
+rows, and canonical() the reduced one sorted by pivot column, a basis of
+the row space that the space alone determines (each RREF row scaled to
+coprime integers), so two row spaces are equal iff their canonical bases
+are identical tuples; integer_nullspace() gives a kernel in that form.
+
+The Fraction interfaces (rref, row_basis, nullspace, solve_square) take a
+tuple of Fraction row tuples, scale each row by the lcm of its
+denominators (which changes neither its row space nor the reduced form),
+and divide each pivot row by its pivot on the way out (`_monic`).  Values
+are rational at every interface; no floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -123,6 +126,15 @@ def _eliminate(rows, ncols: int, reduced: bool, pivots=()) -> list:
     return pivots
 
 
+def _monic(row) -> Vector:
+    """An integer pivot row divided by its leading entry: Fractions with a
+    leading 1 (the RREF row of a canonical row)."""
+    p = next(x for x in row if x)
+    if p == 1:
+        return tuple([_SMALL[x] for x in row])
+    return tuple([Fraction(x, p) if x else _ZERO for x in row])
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     if not m:
@@ -131,22 +143,28 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     pivots = sorted(_eliminate(map(_integer_row, m), len(m[0]), True))
     cols = tuple([c for c, _ in pivots])
     out = []
-    for k, c in enumerate(cols):
-        row = pivots[k][1]
+    for k in range(len(pivots)):
+        out.append(_monic(pivots[k][1]))
         pivots[k] = None  # free each integer row once its Fractions exist
-        p = row[c]
-        if p == 1:
-            out.append(tuple([_SMALL[x] for x in row]))
-        else:
-            out.append(tuple([Fraction(x, p) if x else _ZERO for x in row]))
     out.extend([(_ZERO,) * len(m[0])] * (len(m) - len(out)))
     return tuple(out), cols
 
 
+def canonical(rows, ncols: int, start=()) -> tuple:
+    """The canonical integer basis of the row space of integer rows: the
+    reduced integer echelon sorted by pivot column, as tuples of ints.
+
+    `start` is a reduced echelon already known, as (pivot column, row)
+    pairs (a canonical basis is one), which the rows extend."""
+    # pivot columns are distinct
+    return tuple([tuple(row) for _, row in sorted(_eliminate(rows, ncols, True, start))])
+
+
 def row_basis(m: Matrix) -> Matrix:
     """Canonical basis of the row space: RREF with zero rows dropped."""
-    red, piv = rref(m)
-    return red[: len(piv)]
+    if not m:
+        return ()
+    return tuple([_monic(row) for row in canonical(map(_integer_row, m), len(m[0]))])
 
 
 def rank(m: Matrix) -> int:
@@ -164,8 +182,31 @@ def echelon(rows, ncols: int, start=()) -> list:
     return _eliminate(rows, ncols, reduced=False, pivots=start)
 
 
+def integer_nullspace(rows, ncols: int) -> tuple:
+    """Canonical integer basis of the right kernel of integer rows.
+
+    Each free column f of the reduced echelon gives the kernel vector with
+    L at f and -L * row[f] / pivot at each pivot column, L the lcm of the
+    pivots it divides by; those vectors are then brought to canonical form.
+    """
+    pivots = _eliminate(rows, ncols, True)
+    pivset = {c for c, _ in pivots}
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        hits = [(c, row[c], row[f]) for c, row in pivots if row[f]]
+        scale = lcm(*[p for _, p, _ in hits])
+        v = [0] * ncols
+        v[f] = scale
+        for c, p, x in hits:
+            v[c] = -x * (scale // p)
+        basis.append(v)
+    return canonical(basis, ncols)
+
+
 def nullspace(m: Matrix, ncols: int | None = None) -> Matrix:
-    """Canonical basis of the right kernel, as rows.
+    """Canonical basis of the right kernel, as Fraction rows (RREF).
 
     ncols is required when m has no rows (the kernel is then everything).
     """
@@ -173,18 +214,7 @@ def nullspace(m: Matrix, ncols: int | None = None) -> Matrix:
         ncols = len(m[0])
     elif ncols is None:
         raise DimensionMismatch("ncols is required for a matrix with no rows")
-    red, piv = rref(m)
-    pivset = set(piv)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _SMALL[1]
-        for r, p in enumerate(piv):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return row_basis(tuple(basis))
+    return tuple([_monic(row) for row in integer_nullspace(map(_integer_row, m), ncols)])
 
 
 def solve_square(a: Matrix, b) -> Vector | None:

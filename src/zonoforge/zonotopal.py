@@ -38,6 +38,8 @@ from math import factorial, prod
 
 from .config import (
     Config,
+    _coloop_mask,
+    _delete,
     _mask_to_set,
     _product,
     SemiExternalFamily,
@@ -156,10 +158,6 @@ def minimal_hitting_sets(sets) -> tuple:
         else:
             minimal.append(h)
     return tuple(_mask_to_set(h) for h in sorted(minimal))
-
-
-def _delete(c: Config, col: int) -> Config:
-    return Config(tuple(v for j, v in enumerate(c.columns) if j != col))
 
 
 def _augment(c: Config, extra_cols) -> Config:
@@ -502,7 +500,7 @@ def internal_extension_check(c: Config, i_set) -> dict:
         "size": len(i_set),
         "mode": "assert" if len(i_set) <= 2 else "explore",
     }
-    if any(is_coloop(c, x) for x in range(c.ncols)):
+    if _coloop_mask(c):
         report["skipped"] = (
             "configuration has a coloop; the all-deletions intersection is undefined"
         )

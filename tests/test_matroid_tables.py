@@ -141,6 +141,27 @@ def check_tables(c: Config, rng: random.Random) -> None:
     # after it has been filled
     for i_set in rng.sample(choices, min(6, len(choices))) + [frozenset(free)]:
         assert deletion_intersection(c, i_set) == reference_deletion_intersection(c, i_set)
+    check_deletions(c)
+
+
+def check_deletions(c: Config) -> None:
+    """Each column is a coloop exactly when the other Fraction columns lose
+    rank; deleting a non-coloop gives the Config of the other columns, with
+    empty tables, and deleting a coloop raises what that Config raises."""
+    for x in range(c.ncols):
+        rest = c.columns[:x] + c.columns[x + 1:]
+        assert is_coloop(c, x) == (rank(rest) < c.n)
+        if is_coloop(c, x):
+            with pytest.raises(RankDeficient) as got:
+                _delete(c, x)
+            with pytest.raises(RankDeficient) as ref:
+                Config(rest)
+            assert (got.value.rank, str(got.value)) == (ref.value.rank, str(ref.value))
+            continue
+        child, ref = _delete(c, x), Config(rest)
+        assert child == ref and hash(child) == hash(ref) and repr(child) == repr(ref)
+        assert child._ints == ref._ints
+        assert (child._tables, child._products, child._coloops) == ({}, {}, None)
 
 
 @pytest.mark.parametrize("k", range(len(CONFIGS)))
@@ -238,6 +259,23 @@ def test_derived_configs_start_with_an_empty_table():
     assert replace(c)._tables == {}
     assert _delete(c, 0)._tables == {}
     assert _augment(c, {0, 5})._tables == {}
+
+
+def test_the_coloop_mask_is_found_once_and_deletions_validate_nothing(monkeypatch):
+    c = Config(K4 + ((1, 1, 1),))
+    assert [is_coloop(c, x) for x in range(c.ncols)] == [False] * c.ncols
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-derived from the Fraction columns")
+
+    for name in ("echelon", "_integer_row", "frac", "rank"):
+        monkeypatch.setattr(config, name, refuse)
+    assert not any(is_coloop(c, x) for x in range(c.ncols))
+    for x in range(c.ncols):
+        child = _delete(c, x)
+        assert child.columns == c.columns[:x] + c.columns[x + 1:]
+        assert child._ints == c._ints[:x] + c._ints[x + 1:]
+    assert c._tables == {}  # the coloop mask is no table entry
 
 
 def test_the_table_holds_central_space_results_not_intersections():

@@ -27,8 +27,10 @@ from zonoforge.config import (
     passive_set,
     subset_polynomial,
 )
-from zonoforge.errors import ColoopInI, NotIndependent, RankDeficient, ZeroColumn
-from zonoforge.graded import GradedSubspace, add, intersect
+from zonoforge import verify
+from zonoforge.errors import ColoopInI, ConsistencyError, NotIndependent, RankDeficient, ZeroColumn
+from zonoforge.graded import GradedSubspace, add, hilbert_quotient, intersect, kernel
+from zonoforge.verify import _confirm_violation
 from zonoforge.zonotopal import (
     _delete,
     central_space,
@@ -36,6 +38,8 @@ from zonoforge.zonotopal import (
     internal_extension_check,
     internal_space,
     r37_sides,
+    semi_internal_i_gens,
+    stabilization_cap,
 )
 
 
@@ -200,3 +204,48 @@ def test_the_seeds_cover_coloops_repeats_and_every_i_size():
 def test_deletion_intersection_of_no_columns_is_the_central_space(ex25):
     assert deletion_intersection(ex25, ()) == central_space(ex25)
     assert deletion_intersection(ex25, frozenset()) == central_space(ex25)
+
+
+# -- the violation re-check ----------------------------------------------------
+
+
+def _window_triples(step: int = 3):
+    """Every step-th coloop-free configuration of the search-r37 3/5 window
+    (0/1 columns, n = 3, five columns) with its independent triples."""
+    pool = [v for v in itertools.product((0, 1), repeat=3) if any(v)]
+    found = []
+    for cols in itertools.combinations_with_replacement(pool, 5):
+        try:
+            c = Config(cols)
+        except RankDeficient:
+            continue
+        if not any(is_coloop(c, x) for x in range(c.ncols)):
+            found.append(c)
+    return [
+        (c, frozenset(tri))
+        for c in found[::step]
+        for tri in itertools.combinations(range(c.ncols), 3)
+        if is_independent(c, tri)
+    ]
+
+
+def test_the_violation_recheck_agrees_with_the_kernel_on_the_window():
+    triples = _window_triples()
+    assert len({c for c, _ in triples}) >= 20
+    for c, i_set in triples:
+        confirmed, lhs, rhs = _confirm_violation(c, i_set)
+        assert (confirmed, lhs, rhs) == (False, *r37_sides(c, i_set)[:2])
+        gens = semi_internal_i_gens(c, i_set)
+        dmax = max(lhs.top_degree(), rhs.top_degree(), len(hilbert_quotient(gens, cap=stabilization_cap(c))))
+        assert kernel(gens, dmax) == lhs == rhs
+
+
+def test_the_violation_recheck_names_a_disagreement(monkeypatch):
+    c, i_set = _window_triples()[0]
+    monkeypatch.setattr(verify, "kernel", lambda gens, dmax: GradedSubspace.zero(gens.nvars))
+    with pytest.raises(ConsistencyError) as info:
+        _confirm_violation(c, i_set)
+    text = str(info.value)
+    assert "deletion-intersection space and power-ideal kernel disagree" in text
+    assert str([list(map(str, v)) for v in c.columns]) in text
+    assert f"i={sorted(i_set)}" in text
