@@ -40,7 +40,7 @@ from .geometry import (
     zonotope_lattice,
 )
 from .graded import GradedSubspace, IdealGens, direct_sum_certificate, hilbert_quotient, kernel
-from .poly import HPoly, diff_apply, pair
+from .poly import HPoly, pair
 from .verify import run_theorem, search_internal_extension
 from .zonotopal import (
     Bundle,
@@ -71,7 +71,6 @@ __all__ = [
     "central",
     "codimension_counts",
     "d_space",
-    "diff_apply",
     "direct_sum_certificate",
     "dual_pairing_certificate",
     "ensure_family",

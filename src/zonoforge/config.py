@@ -24,9 +24,10 @@ Each Config also carries two private tables, built at most once each:
   reads it;
 - the matroid table: the (n-1)-set -> facet map, with each facet's
   off-hyperplane columns, which internal activity reads (no activity test
-  eliminates), and the central space of each single-column deletion X - x,
-  which `zonotopal.deletion_intersection` reads.  It holds `central_space`'s
-  own results, never an intersection.
+  eliminates), the central space of each single-column deletion X - x,
+  which `zonotopal.deletion_intersection` reads, and X u B0 (`extended`),
+  whose product table and ranks give the cover generators and `extend_basis`.
+  It holds `central_space`'s own results, never an intersection.
 Neither is a field (equality, hash and repr ignore them); they live and die
 with their Config, and a derived Config starts with empty ones.  The
 coloop mask is found once per Config and kept on it the same way.  A
@@ -58,8 +59,8 @@ from .errors import (
     RankDeficient,
     ZeroColumn,
 )
-from .linalg import _integer_row, echelon, frac, integer_nullspace, matrix, rank
-from .poly import HPoly, _times_linear, linform_product
+from .linalg import _integer_row, echelon, frac, integer_nullspace, matrix
+from .poly import HPoly, _times_linear
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class Config:
             object.__setattr__(self, "b0", b0)
             if len(b0) != n or any(len(col) != n for col in b0):
                 raise BadB0(f"b0 must consist of {n} vectors of length {n}")
-            if rank(b0) != n:
+            if len(echelon([_integer_row(col) for col in b0], n)) != n:
                 raise BadB0("b0 must be a basis of the ambient space")
         if self.lam is not None:
             object.__setattr__(
@@ -123,8 +124,8 @@ class Config:
             self, "_hash", hash((self.columns, self.b0, self.lam, self.lam_b0))
         )
         # the subset-product table (column mask -> p_Y), filled by _product,
-        # and the matroid table (the subbasis facet map and the central
-        # spaces of single-column deletions), filled on first use
+        # and the matroid table (the subbasis facet map, the central spaces
+        # of single-column deletions and X u B0), filled on first use
         object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_tables", {})
         # the coloop mask, set by _coloop_mask on first use
@@ -146,10 +147,14 @@ class Config:
         return tuple(self.columns[i] for i in sorted(cols))
 
     def extended(self) -> "Config":
-        """The configuration with the b0 vectors appended after all columns."""
+        """The configuration X u B0, the b0 vectors appended after all
+        columns, built once per Config and kept in its table."""
         if self.b0 is None:
             raise MissingB0()
-        return Config(self.columns + self.b0)
+        ext = self._tables.get("extended")
+        if ext is None:
+            ext = self._tables["extended"] = Config(self.columns + self.b0)
+        return ext
 
 
 def make_config(matrix_rows, b0_rows=None, lam=None, lam_b0=None) -> Config:
@@ -493,15 +498,15 @@ def extend_basis(c: Config, i_set) -> frozenset:
     i_set = frozenset(i_set)
     if not is_independent(c, i_set):
         raise NotIndependent(i_set)
-    chosen = list(c.subset_rows(i_set))
+    ext = c.extended()
     out = set(i_set)
-    taken = []
-    for k, b in enumerate(c.b0):
-        if rank(tuple(chosen) + tuple(taken) + (b,)) > rank(tuple(chosen) + tuple(taken)):
-            out.add(c.ncols + k)
+    spanning = i_set
+    for j in range(c.ncols, ext.ncols):
+        if rank_of(ext, spanning | {j}) > rank_of(ext, spanning):
+            out.add(j)
         # the span of "i_set plus all earlier b0 vectors" is what matters,
-        # so every earlier b0 vector joins the spanning rows either way
-        taken.append(b)
+        # so every earlier b0 vector joins the spanning columns either way
+        spanning = spanning | {j}
     return frozenset(out)
 
 
@@ -534,14 +539,3 @@ def subset_polynomial(c: Config, cols) -> HPoly:
     row, den = _product(c, mask)
     return HPoly.from_coeff_vector(c.n, mask.bit_count(), [Fraction(x, den) for x in row])
 
-
-def extended_subset_polynomial(c: Config, cols) -> HPoly:
-    """Same, but indices may address the b0 block (N..N+n-1)."""
-    if any(i >= c.ncols for i in cols):
-        if c.b0 is None:
-            raise MissingB0()
-        vecs = [
-            c.columns[i] if i < c.ncols else c.b0[i - c.ncols] for i in sorted(cols)
-        ]
-        return linform_product(c.n, vecs)
-    return subset_polynomial(c, cols)

@@ -31,8 +31,8 @@ from .errors import (
     UnknownBasis,
 )
 from .graded import GradedSubspace
-from .linalg import frac, matrix, rank, rref, solve_square
-from .poly import HPoly, monomials
+from .linalg import _integer_row, canonical, frac, matrix, rank
+from .poly import monomials
 
 MAX_SAMPLING_TRIES = 100
 
@@ -98,14 +98,22 @@ def make_arrangement(c: Config, offsets=None, seed: int = 0) -> Arrangement:
     raise NotSimple(witness)
 
 
+def _solve_vertex(rows, n: int) -> tuple | None:
+    """x with a x = b from the n integer rows of [a | b], None if a is
+    singular: canonical row i has its pivot p_i at column i, so x_i = q_i / p_i
+    with q_i its last entry; a singular system misses a pivot or has one last."""
+    basis = canonical(rows, n + 1)
+    if len(basis) < n or not basis[-1][n - 1]:
+        return None
+    return tuple([Fraction(row[n], row[i]) for i, row in enumerate(basis)])
+
+
 def _finish_arrangement(c: Config, lam: tuple) -> Arrangement:
     verts = []
     seen = {}
     for b in bases(c):
         cols = sorted(b)
-        a = matrix([c.columns[j] for j in cols])
-        rhs = tuple(lam[j] for j in cols)
-        point = solve_square(a, rhs)
+        point = _solve_vertex([_integer_row(c.columns[j] + (lam[j],)) for j in cols], c.n)
         if point is None:
             raise ConsistencyError(f"basis {cols} gave a singular vertex system")
         if point in seen:
@@ -193,16 +201,14 @@ def least_space(points, extra: int = 0) -> GradedSubspace:
         )
     for k in range(1, extra + 1):
         add_block(d + k)
-    reduced, pivots = rref(rows)
 
-    leasts = []
-    for row, piv in zip(reduced, pivots):
+    leasts: dict = {}
+    for row in canonical(map(_integer_row, rows), len(rows[0])):
+        piv = next(k for k, x in enumerate(row) if x)
         d = bisect_right(starts, piv) - 1
         lo = starts[d]
-        leasts.append(
-            HPoly.from_coeff_vector(nvars, d, row[lo : lo + len(monomials(nvars, d))])
-        )
-    space = GradedSubspace.from_spanning(nvars, leasts)
+        leasts.setdefault(d, []).append(row[lo : lo + len(monomials(nvars, d))])
+    space = GradedSubspace.from_components(nvars, leasts)
     if space.dim() != len(pts):
         raise ConsistencyError(
             f"least parts of {len(pts)} points span only {space.dim()} dimensions"

@@ -9,11 +9,10 @@ the row space that the space alone determines (each RREF row scaled to
 coprime integers), so two row spaces are equal iff their canonical bases
 are identical tuples; integer_nullspace() gives a kernel in that form.
 
-The Fraction interfaces (rref, row_basis, nullspace, solve_square) take a
-tuple of Fraction row tuples, scale each row by the lcm of its
-denominators (which changes neither its row space nor the reduced form),
-and divide each pivot row by its pivot on the way out (`_monic`).  Values
-are rational at every interface; no floats enter anywhere.
+rank() is the one Fraction interface: it scales each Fraction row by the
+lcm of its denominators (which changes no rank); other callers scale their
+rows with `_integer_row`, and `_monic` turns a canonical row back into its
+Fraction RREF row.  No floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -135,21 +134,6 @@ def _monic(row) -> Vector:
     return tuple([Fraction(x, p) if x else _ZERO for x in row])
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    if not m:
-        return (), ()
-    # pivot columns are distinct
-    pivots = sorted(_eliminate(map(_integer_row, m), len(m[0]), True))
-    cols = tuple([c for c, _ in pivots])
-    out = []
-    for k in range(len(pivots)):
-        out.append(_monic(pivots[k][1]))
-        pivots[k] = None  # free each integer row once its Fractions exist
-    out.extend([(_ZERO,) * len(m[0])] * (len(m) - len(out)))
-    return tuple(out), cols
-
-
 def canonical(rows, ncols: int, start=()) -> tuple:
     """The canonical integer basis of the row space of integer rows: the
     reduced integer echelon sorted by pivot column, as tuples of ints.
@@ -158,13 +142,6 @@ def canonical(rows, ncols: int, start=()) -> tuple:
     pairs (a canonical basis is one), which the rows extend."""
     # pivot columns are distinct
     return tuple([tuple(row) for _, row in sorted(_eliminate(rows, ncols, True, start))])
-
-
-def row_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the row space: RREF with zero rows dropped."""
-    if not m:
-        return ()
-    return tuple([_monic(row) for row in canonical(map(_integer_row, m), len(m[0]))])
 
 
 def rank(m: Matrix) -> int:
@@ -203,30 +180,6 @@ def integer_nullspace(rows, ncols: int) -> tuple:
             v[c] = -x * (scale // p)
         basis.append(v)
     return canonical(basis, ncols)
-
-
-def nullspace(m: Matrix, ncols: int | None = None) -> Matrix:
-    """Canonical basis of the right kernel, as Fraction rows (RREF).
-
-    ncols is required when m has no rows (the kernel is then everything).
-    """
-    if m:
-        ncols = len(m[0])
-    elif ncols is None:
-        raise DimensionMismatch("ncols is required for a matrix with no rows")
-    return tuple([_monic(row) for row in integer_nullspace(map(_integer_row, m), ncols)])
-
-
-def solve_square(a: Matrix, b) -> Vector | None:
-    """Unique solution of a x = b for square a; None if a is singular."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise DimensionMismatch("solve_square needs a square system")
-    aug = tuple(tuple(row) + (bi,) for row, bi in zip(a, b))
-    red, piv = rref(aug)
-    if len(piv) < n or (piv and piv[-1] == n):
-        return None
-    return tuple(red[i][n] for i in range(n))
 
 
 def det(a: Matrix) -> Fraction:

@@ -17,8 +17,9 @@ The pairing is the apolarity pairing <p, q> = (p(D)q)(0): on monomials
 Hot products run on integer coefficient rows instead of HPoly dicts:
 `_shifts` maps each monomial to its index after multiplication by a
 variable, and `_times_linear` multiplies a row by a linear form with it.
-The subset-product table in config and graded.Ideal both read it; the HPoly
-arithmetic stays as their independent oracle in the tests.
+The subset-product table in config, graded.Ideal and perp_space_gens all
+read it, so no library code multiplies HPolys; the HPoly arithmetic stays
+as their independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DimensionMismatch
-from .linalg import frac, matrix, nullspace
+from .linalg import frac, integer_nullspace
 
 
 @lru_cache(maxsize=None)
@@ -80,9 +81,10 @@ def multi_factorial(exp) -> int:
 
 
 class HPoly:
-    """A homogeneous polynomial; immutable by convention."""
+    """A homogeneous polynomial; immutable by convention.  render() keeps its
+    text in the `_text` slot, unset until the first call."""
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    __slots__ = ("nvars", "degree", "coeffs", "_text")
 
     def __init__(self, nvars: int, coeffs: dict):
         clean = {}
@@ -200,7 +202,12 @@ class HPoly:
 
     def render(self) -> str:
         """Canonical text form, terms in graded-lex order, rationals as p/q."""
+        try:
+            return self._text
+        except AttributeError:
+            pass
         if self.is_zero:
+            self._text = "0"
             return "0"
         parts = []
         for exp in monomials(self.nvars, self.degree):
@@ -224,34 +231,8 @@ class HPoly:
         text = ("-" if sign == "-" else "") + body
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
+        self._text = text
         return text
-
-
-def linform_product(nvars: int, vectors) -> HPoly:
-    """Product of the linear forms of the given vectors (1 for no vectors)."""
-    out = HPoly.constant(nvars)
-    for v in vectors:
-        out = out * HPoly.linear_form(v)
-    return out
-
-
-def diff_apply(p: HPoly, q: HPoly) -> HPoly:
-    """Apply p as a constant-coefficient differential operator to q."""
-    if p.nvars != q.nvars:
-        raise DimensionMismatch("operator and argument have different arities")
-    out = {}
-    for pe, pc in p.coeffs.items():
-        for qe, qc in q.coeffs.items():
-            if any(a > b for a, b in zip(pe, qe)):
-                continue
-            coef = pc * qc
-            for a, b in zip(pe, qe):
-                # falling factorial b (b-1) ... (b-a+1)
-                for k in range(a):
-                    coef *= b - k
-            exp = tuple(b - a for a, b in zip(pe, qe))
-            out[exp] = out.get(exp, Fraction(0)) + coef
-    return HPoly(p.nvars, out)
 
 
 def pair(p: HPoly, q: HPoly) -> Fraction:
@@ -266,18 +247,20 @@ def pair(p: HPoly, q: HPoly) -> Fraction:
     return total
 
 
-def perp_space_gens(nvars: int, span_vectors, degree: int) -> list[HPoly]:
-    """Spanning set of the degree-d polynomials constant along span_vectors.
-
-    Concretely: all degree-d monomials in the linear forms of a basis of the
-    orthogonal complement of span(span_vectors).
-    """
-    null = nullspace(matrix(span_vectors), ncols=nvars)
-    forms = [HPoly.linear_form(v) for v in null]
+def perp_space_gens(nvars: int, span_rows, degree: int) -> list[HPoly]:
+    """Spanning set of the degree-d polynomials constant along the span of
+    canonical integer rows: all degree-d monomials in the linear forms of the
+    RREF basis of its orthogonal complement, each built as a product of the
+    integer kernel rows by `_times_linear` and divided by their pivots."""
+    kern = integer_nullspace(span_rows, nvars)
+    pivots = [next(x for x in v if x) for v in kern]
     gens = []
-    for exp in monomials(len(forms), degree):
-        g = HPoly.constant(nvars)
-        for f, e in zip(forms, exp):
-            g = g * f ** e
-        gens.append(g)
+    for exp in monomials(len(kern), degree):
+        row, den, d = (1,), 1, 0
+        for v, p, e in zip(kern, pivots, exp):
+            for _ in range(e):
+                row = _times_linear(row, v, d)
+                d += 1
+            den *= p**e
+        gens.append(HPoly.from_coeff_vector(nvars, degree, [Fraction(x, den) for x in row]))
     return gens

@@ -488,10 +488,18 @@ def _confirm_violation(c: Config, i_set) -> tuple:
 def search_internal_extension(max_n: int, max_cols: int) -> dict:
     """Enumerate small 0/1 configurations and independent triples, looking for
     a failure of the patched-extension equality.  Finding nothing asserts
-    nothing; any hit is re-verified through an independent route first."""
+    nothing; any hit is re-verified through an independent route first.  A
+    window that would examine nothing (n < 3 or fewer than 4 columns) is
+    refused, like one past the caps."""
     if max_n > SEARCH_MAX_N or max_cols > SEARCH_MAX_COLS:
         raise InputError(
             f"search bounds capped at n<={SEARCH_MAX_N}, columns<={SEARCH_MAX_COLS}; "
+            f"got n<={max_n}, columns<={max_cols}"
+        )
+    # the search starts at n = 3, and with N = n every column is a coloop
+    if max_n < 3 or max_cols < 4:
+        raise InputError(
+            f"empty search window: needs n>=3 and columns>=4, "
             f"got n<={max_n}, columns<={max_cols}"
         )
     report = {

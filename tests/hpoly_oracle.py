@@ -1,0 +1,88 @@
+"""The HPoly dict-arithmetic routes that the library no longer runs, kept
+verbatim as independent oracles.
+
+`linform_product` and `diff_apply` are the former `zonoforge.poly` helpers;
+`reference_extend_basis` and `reference_perp_space_gens` are
+`config.extend_basis` and `poly.perp_space_gens` as they were before the
+extended configuration's rank cache and integer kernel rows replaced their
+`Fraction` ranks, `Fraction` kernel and repeated `HPoly` multiplication.
+Their kernels come from the dense Fraction Gauss-Jordan loop of
+test_linalg, so they share no elimination code with the library.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from test_linalg import reference_nullspace
+from zonoforge.config import Config, is_independent
+from zonoforge.errors import DimensionMismatch, MissingB0, NotIndependent
+from zonoforge.linalg import matrix, rank
+from zonoforge.poly import HPoly, monomials
+
+
+def linform_product(nvars: int, vectors) -> HPoly:
+    """Product of the linear forms of the given vectors (1 for no vectors)."""
+    out = HPoly.constant(nvars)
+    for v in vectors:
+        out = out * HPoly.linear_form(v)
+    return out
+
+
+def diff_apply(p: HPoly, q: HPoly) -> HPoly:
+    """Apply p as a constant-coefficient differential operator to q."""
+    if p.nvars != q.nvars:
+        raise DimensionMismatch("operator and argument have different arities")
+    out = {}
+    for pe, pc in p.coeffs.items():
+        for qe, qc in q.coeffs.items():
+            if any(a > b for a, b in zip(pe, qe)):
+                continue
+            coef = pc * qc
+            for a, b in zip(pe, qe):
+                # falling factorial b (b-1) ... (b-a+1)
+                for k in range(a):
+                    coef *= b - k
+            exp = tuple(b - a for a, b in zip(pe, qe))
+            out[exp] = out.get(exp, Fraction(0)) + coef
+    return HPoly(p.nvars, out)
+
+
+def reference_extend_basis(c: Config, i_set) -> frozenset:
+    """Greedy completion of an independent set by the b0 vectors.
+
+    Returns indices into the extended configuration: 0..N-1 for columns of X,
+    N..N+n-1 for b0 vectors, which sort after every column of X.
+    """
+    if c.b0 is None:
+        raise MissingB0()
+    i_set = frozenset(i_set)
+    if not is_independent(c, i_set):
+        raise NotIndependent(i_set)
+    chosen = list(c.subset_rows(i_set))
+    out = set(i_set)
+    taken = []
+    for k, b in enumerate(c.b0):
+        if rank(tuple(chosen) + tuple(taken) + (b,)) > rank(tuple(chosen) + tuple(taken)):
+            out.add(c.ncols + k)
+        # the span of "i_set plus all earlier b0 vectors" is what matters,
+        # so every earlier b0 vector joins the spanning rows either way
+        taken.append(b)
+    return frozenset(out)
+
+
+def reference_perp_space_gens(nvars: int, span_vectors, degree: int) -> list[HPoly]:
+    """Spanning set of the degree-d polynomials constant along span_vectors.
+
+    Concretely: all degree-d monomials in the linear forms of a basis of the
+    orthogonal complement of span(span_vectors).
+    """
+    null = reference_nullspace(matrix(span_vectors), ncols=nvars)
+    forms = [HPoly.linear_form(v) for v in null]
+    gens = []
+    for exp in monomials(len(forms), degree):
+        g = HPoly.constant(nvars)
+        for f, e in zip(forms, exp):
+            g = g * f ** e
+        gens.append(g)
+    return gens

@@ -110,6 +110,18 @@ GOLDEN_RUNS = [
         ["verify", "--input", str(INPUTS / "identity2.json"), "--theorem", "pi"],
     ),
     ("search_r37_n3c4.json", ["search-r37", "--max-n", "3", "--max-cols", "4"]),
+    (
+        "space_external_rational_b0.json",
+        ["space", "--input", str(INPUTS / "rational_b0.json"), "--kind", "external"],
+    ),
+    (
+        "space_semi_external_rational_b0.json",
+        ["space", "--input", str(INPUTS / "rational_b0.json"), "--kind", "semi_external"],
+    ),
+    (
+        "verify_explus_rational_b0.json",
+        ["verify", "--input", str(INPUTS / "rational_b0.json"), "--theorem", "explus"],
+    ),
 ]
 
 
@@ -293,6 +305,15 @@ def test_search_refuses_large_bounds(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "bounds" in err
+
+
+@pytest.mark.parametrize("bounds", [["--max-n", "2"], ["--max-n", "3", "--max-cols", "3"]])
+def test_search_refuses_an_empty_window(capsys, bounds):
+    code = main(["search-r37", *bounds])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "empty search window" in captured.err
+    assert captured.out == ""
 
 
 # -- console entry points --------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_linalg import reference_rref as rref
 from zonoforge.config import Config, bases, independents, make_config
 from zonoforge.errors import (
     ConsistencyError,
@@ -29,7 +30,7 @@ from zonoforge.geometry import (
     zonotope_lattice,
 )
 from zonoforge.graded import GradedSubspace
-from zonoforge.linalg import frac, matrix, rank, rref
+from zonoforge.linalg import frac, matrix, rank
 from zonoforge.poly import HPoly, monomials, multi_factorial
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graded_oracle import assert_canonical
+from test_linalg import reference_nullspace as nullspace
 from zonoforge import graded
 from zonoforge.cli import parse_document
 from zonoforge.config import Config, SemiExternalFamily, ensure_family, semiexternal_close
@@ -30,7 +31,7 @@ from zonoforge.graded import (
     intersect,
     kernel,
 )
-from zonoforge.linalg import _integer_row, nullspace, rank, row_basis
+from zonoforge.linalg import _integer_row, _monic, canonical, rank
 from zonoforge.poly import HPoly, monomials
 from zonoforge.zonotopal import bundle_for
 
@@ -151,6 +152,11 @@ def test_contains_is_degreewise():
 # -- intersection against the complement-of-sum-of-complements route -----------
 
 
+def _fractions(rows) -> tuple:
+    """Integer rows as Fraction rows, the input of the Fraction reference loops."""
+    return tuple(tuple(Fraction(x) for x in r) for r in rows)
+
+
 def reference_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     """Degreewise intersection via complement-of-sum-of-complements."""
     if a.nvars != b.nvars:
@@ -161,8 +167,8 @@ def reference_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
         if not basis_b:
             continue
         ncols = component_dim(a.nvars, d)
-        comp_a = nullspace(basis_a, ncols=ncols)
-        comp_b = nullspace(basis_b, ncols=ncols)
+        comp_a = nullspace(_fractions(basis_a), ncols=ncols)
+        comp_b = nullspace(_fractions(basis_b), ncols=ncols)
         comps[d] = map(_integer_row, nullspace(comp_a + comp_b, ncols=ncols))
     return GradedSubspace.from_components(a.nvars, comps)
 
@@ -270,6 +276,14 @@ def test_intersect_rejects_different_rings():
 # verbatim except that the quotient loop returns None where the library
 # raised: every generator times every monomial, compared through canonical
 # row bases.
+
+
+def row_basis(rows) -> tuple:
+    """The RREF basis of rows of ints or Fractions, through the integer
+    elimination: the all-multiples oracles below are independent of Ideal
+    by construction, not by their row reduction."""
+    rows = [_integer_row(r) for r in rows]
+    return tuple(_monic(r) for r in canonical(rows, len(rows[0]))) if rows else ()
 
 
 def reference_ideal_component(gens: IdealGens, d: int) -> tuple:
@@ -382,7 +396,7 @@ def _assert_ideal_matches_oracle(gens: IdealGens, dmax: int):
         if ideal.is_full(d):
             assert ref == _unit_rows(component_dim(gens.nvars, d))
         else:
-            assert row_basis(tuple(tuple(r) for _, r in ideal.pivots(d))) == ref
+            assert row_basis(r for _, r in ideal.pivots(d)) == ref
     expected = reference_hilbert_quotient(nonzero, dmax)
     if expected is None:
         with pytest.raises(NoStabilization):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: Fraction interfaces, integer elimination."""
+"""Exact linear algebra: integer elimination against the Fraction loop."""
 
 from __future__ import annotations
 
@@ -10,22 +10,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonoforge.geometry import _solve_vertex
 from zonoforge.linalg import (
+    _integer_row,
+    canonical,
     det,
     echelon,
     frac,
+    integer_nullspace,
     matrix,
-    nullspace,
     primitive_integer,
     rank,
-    row_basis,
-    rref,
-    solve_square,
 )
 
 
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def pivot(row) -> int:
+    return next(k for k, x in enumerate(row) if x)
+
+
+def monic(rows) -> tuple:
+    """Integer rows divided by their pivots: Fraction RREF rows."""
+    return tuple(tuple(Fraction(x, row[pivot(row)]) for x in row) for row in rows)
 
 
 def test_frac_accepts_int_str_fraction():
@@ -42,40 +51,39 @@ def test_frac_passes_a_fraction_through_and_rejects_floats():
 
 
 def test_rref_pivots_and_idempotence():
-    m = matrix([[2, 4, 6], [1, 2, 4], [0, 0, 2]])
-    reduced, pivots = rref(m)
-    assert pivots == (0, 2)
-    again, pivots2 = rref(reduced)
-    assert again == reduced and pivots2 == pivots
-    for r, p in zip(reduced, pivots):
-        assert r[p] == 1
+    # the canonical basis is the RREF with each row scaled to coprime integers
+    basis = canonical([[2, 4, 6], [1, 2, 4], [0, 0, 2]], 3)
+    assert basis == ((1, 2, 0), (0, 0, 1))
+    assert [pivot(r) for r in basis] == [0, 2]
+    assert canonical(basis, 3) == basis
+    assert canonical([[0, 0, -3], [-1, -2, 5]], 3) == basis
 
 
 def test_rank_and_row_basis():
     m = matrix([[1, 2], [2, 4], [0, 1]])
     assert rank(m) == 2
-    assert len(row_basis(m)) == 2
+    assert len(canonical(map(_integer_row, m), 2)) == 2
     assert rank(()) == 0
-    assert row_basis(()) == ()
+    assert canonical([], 2) == ()
 
 
 def test_nullspace_is_exact_kernel():
-    m = matrix([[1, 1, 0], [0, 1, 1]])
-    ns = nullspace(m, ncols=3)
-    assert len(ns) == 1
+    m = [[1, 1, 0], [0, 1, 1]]
+    ns = integer_nullspace(m, 3)
+    assert ns == ((1, -1, 1),)
     for row in m:
         assert dot(row, ns[0]) == 0
-    # empty matrix: kernel is everything
-    full = nullspace((), ncols=3)
-    assert len(full) == 3
+    # no rows: the kernel is everything
+    assert integer_nullspace([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_solve_square_inverts_and_detects_singular():
     a = matrix([[2, 1], [1, 1]])
-    x = solve_square(a, (3, 2))
+    x = _solve_vertex([[2, 1, 3], [1, 1, 2]], 2)
     assert x == (Fraction(1), Fraction(1))
     assert tuple(dot(row, x) for row in a) == (Fraction(3), Fraction(2))
-    assert solve_square(matrix([[1, 2], [2, 4]]), (1, 0)) is None
+    assert _solve_vertex([[1, 2, 1], [2, 4, 0]], 2) is None  # inconsistent
+    assert _solve_vertex([[1, 2, 1], [2, 4, 2]], 2) is None  # rank one
 
 
 def test_det_small_cases():
@@ -97,7 +105,7 @@ def test_rank_nullity_random(seed):
     nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
     m = matrix([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
     r = rank(m)
-    ns = nullspace(m, ncols=ncols)
+    ns = integer_nullspace(map(_integer_row, m), ncols)
     assert r + len(ns) == ncols
     for v in ns:
         for row in m:
@@ -168,18 +176,20 @@ def all_fractions(rows) -> bool:
 
 
 def assert_matches_reference(m, ncols, rhs=None):
-    red, piv = rref(m)
-    assert (red, piv) == reference_rref(m)
-    assert all_fractions(red)
-    assert rank(m) == len(reference_rref(m)[1])
-    basis = row_basis(m)
-    assert basis == reference_row_basis(m) and all_fractions(basis)
-    kern = nullspace(m, ncols=ncols)
-    assert kern == reference_nullspace(m, ncols) and all_fractions(kern)
+    ints = [_integer_row(r) for r in m]
+    red, piv = reference_rref(m)
+    basis = canonical(ints, ncols)
+    assert all(type(x) is int for row in basis for x in row)
+    for row in basis:
+        assert row[pivot(row)] > 0 and primitive_integer(row) == row
+    assert tuple(pivot(r) for r in basis) == piv
+    assert monic(basis) == reference_row_basis(m)
+    assert rank(m) == len(piv)
+    kern = integer_nullspace(ints, ncols)
+    assert monic(kern) == reference_nullspace(m, ncols)
     if rhs is not None:
-        x = solve_square(m, rhs)
-        assert x == reference_solve_square(m, rhs)
-        assert x is None or all_fractions([x])
+        augmented = [_integer_row(tuple(r) + (b,)) for r, b in zip(m, rhs)]
+        assert _solve_vertex(augmented, len(m)) == reference_solve_square(m, rhs)
     assert_echelon_matches_reference(m, ncols)
 
 
@@ -196,7 +206,7 @@ def assert_echelon_matches_reference(m, ncols):
         for k, (c, row) in enumerate(found):
             assert row[c] > 0 and not any(row[:c])
             assert all(row[p] == 0 for p, _ in found[:k])
-        assert row_basis(tuple(tuple(Fraction(x) for x in r) for _, r in found)) == reference_row_basis(m)
+        assert monic(canonical([r for _, r in found], ncols)) == reference_row_basis(m)
 
 
 def random_matrix(rng, nrows, ncols):
@@ -239,7 +249,7 @@ def test_kernel_matches_reference_on_edge_shapes():
     assert_matches_reference(((Fraction(-3, 4),),), 1, (Fraction(2),))
     assert_matches_reference(((zero,),), 1, (Fraction(2),))
     assert_matches_reference(((zero, zero, zero),), 3)
-    assert rref(((), ())) == reference_rref(((), ())) == (((), ()), ())
+    assert reference_rref(((), ())) == (((), ()), ()) and canonical([[], []], 0) == ()
     # dependent rows that leave the rank at one
     row = (Fraction(1, 2), Fraction(-2, 3), Fraction(5))
     assert_matches_reference((row, tuple(3 * x for x in row), row), 3)

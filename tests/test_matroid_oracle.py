@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_linalg import reference_nullspace as nullspace
 from zonoforge import config
 from zonoforge.config import (
     Config,
@@ -35,7 +36,7 @@ from zonoforge.config import (
     span_le,
 )
 from zonoforge.errors import ConsistencyError, NotIndependent
-from zonoforge.linalg import frac, nullspace, primitive_integer, rank
+from zonoforge.linalg import frac, primitive_integer, rank
 
 
 # -- the earlier routes, verbatim ---------------------------------------------

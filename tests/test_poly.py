@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from zonoforge.errors import DimensionMismatch
+from zonoforge.graded import IdealGens
+from hpoly_oracle import diff_apply, linform_product
 from zonoforge.poly import (
     HPoly,
-    diff_apply,
-    linform_product,
     monomials,
     multi_factorial,
     pair,
@@ -55,6 +55,34 @@ def test_render_canonical_text():
     assert HPoly.zero(3).render() == "0"
     assert HPoly.constant(2, Fraction(1, 2)).render() == "1/2"
     assert HPoly.monomial(2, (0, 3), Fraction(-1, 3)).render() == "-1/3*t2^3"
+
+
+def test_render_keeps_its_text_and_equality_reads_only_coefficients():
+    p = HPoly(2, {(1, 0): Fraction(1, 2), (0, 1): -1})
+    twin = HPoly.from_coeff_vector(2, 1, (Fraction(1, 2), -1))
+    assert not hasattr(p, "_text")  # building renders nothing
+    text = p.render()
+    assert text == "1/2*t1 - t2" and p.render() is text
+    assert not hasattr(twin, "_text")
+    assert p == twin and hash(p) == hash(twin)
+    zero = HPoly.zero(2)
+    assert zero.render() == "0" and zero.render() is zero._text
+
+
+def test_ideal_generators_are_rendered_once(monkeypatch):
+    calls = []
+    real = HPoly.render
+
+    def counting(self):
+        if not hasattr(self, "_text"):
+            calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(HPoly, "render", counting)
+    gens = [linform_product(2, [(1, k)]) for k in (2, 1, 2, 0)]
+    ideal = IdealGens.make(2, gens)
+    assert [g.render() for g in ideal.gens] == ["t1", "t1 + 2*t2", "t1 + t2"]
+    assert len(calls) == len(gens)  # each distinct object rendered once, in make
 
 
 def test_coeff_vector_round_trip():

@@ -1,10 +1,12 @@
 """Products of linear forms: the per-configuration subset-product table, the
-closed-form facet powers and the spanning sets built from the table.
+closed-form facet powers, the spanning sets built from the table, and the
+extended configuration X u B0 (cover generators, greedy completions) with
+the perpendicular-space generators.
 
-The HPoly dict arithmetic (`linform_product`, `HPoly.__pow__`) is the
-independent oracle throughout, and the spanning-set routes as they were
-before the table (every product built from scratch as an HPoly) are kept
-here verbatim and compared by GradedSubspace equality.
+The HPoly dict arithmetic (`linform_product`, `HPoly.__pow__`, kept in
+hpoly_oracle) is the independent oracle throughout, and the spanning-set
+routes as they were before the table (every product built from scratch as
+an HPoly) are kept here verbatim and compared by GradedSubspace equality.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpoly_oracle import (
+    linform_product,
+    reference_extend_basis,
+    reference_perp_space_gens,
+)
+from test_linalg import reference_row_basis
 from zonoforge.cli import parse_document
 from zonoforge.config import (
     Config,
@@ -27,14 +35,17 @@ from zonoforge.config import (
     _mask_to_set,
     _product,
     ensure_family,
+    extend_basis,
     facets,
     full_family,
+    independents,
     rank_of,
     semiexternal_close,
     subset_polynomial,
 )
 from zonoforge.graded import GradedSubspace
-from zonoforge.poly import HPoly, _shifts, linform_product, monomials
+from zonoforge.linalg import canonical, rank
+from zonoforge.poly import HPoly, _shifts, monomials, perp_space_gens
 from zonoforge.zonotopal import (
     _augment,
     _delete,
@@ -190,6 +201,70 @@ def test_table_keeps_denominators_and_signs():
 @given(n=st.integers(1, 5), extra=st.integers(0, 3), rng=st.randoms(use_true_random=False))
 def test_table_matches_linform_product_hypothesis(n, extra, rng):
     _assert_table_matches_oracle(random_rational_config(rng, n, n + extra), rng)
+
+
+# -- the extended configuration X u B0 against the HPoly routes -----------------
+
+
+def random_rational_b0(rng: random.Random, n: int) -> tuple:
+    """A rational basis of the ambient space: an upper triangular matrix with
+    a nonzero rational diagonal, plus a rational multiple of the last vector
+    added to the first."""
+    cols = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        cols[j][j] = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
+        for i in range(j):
+            cols[j][i] = _entry(rng)
+    if n > 1:
+        k = _entry(rng)
+        cols[0] = [x + k * y for x, y in zip(cols[0], cols[-1])]
+    b0 = tuple(tuple(col) for col in cols)
+    assert rank(b0) == n
+    return b0
+
+
+def _assert_extended_matches_oracle(c: Config) -> None:
+    """Cover generators, greedy completions and perpendicular-space
+    generators of a configuration with b0 against the routes they replaced."""
+    ext = c.extended()
+    assert ext is c.extended() and c._tables["extended"] is ext
+    vectors = c.columns + c.b0
+    for mask in range(1 << ext.ncols):
+        y = _mask_to_set(mask)
+        want = linform_product(c.n, [vectors[i] for i in sorted(y)])
+        assert subset_polynomial(ext, y) == want
+    for s in independents(c):
+        assert extend_basis(c, s) == reference_extend_basis(c, s)
+        span = canonical([c._ints[i] for i in sorted(s)], c.n)
+        old_span = reference_row_basis(c.subset_rows(s))
+        for d in range(4):
+            assert perp_space_gens(c.n, span, d) == reference_perp_space_gens(c.n, old_span, d)
+
+
+def test_extended_routes_match_oracle_on_documents():
+    for c, _ in document_cases():
+        _assert_extended_matches_oracle(c)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_extended_routes_match_oracle_seeded(n):
+    rng = random.Random(8300 + n)
+    for _ in range(3):
+        c = random_rational_config(rng, n, n + rng.randint(0, 5 - n))
+        _assert_extended_matches_oracle(Config(c.columns, b0=random_rational_b0(rng, n)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), extra=st.integers(0, 2), rng=st.randoms(use_true_random=False))
+def test_extended_routes_match_oracle_hypothesis(n, extra, rng):
+    c = random_rational_config(rng, n, n + extra)
+    _assert_extended_matches_oracle(Config(c.columns, b0=random_rational_b0(rng, n)))
+
+
+def test_a_config_without_b0_builds_no_extension():
+    c = Config(K4)
+    full_span_space(c)
+    assert "extended" not in c._tables
 
 
 # -- facet powers against repeated HPoly multiplication ---------------------------

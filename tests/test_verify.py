@@ -116,7 +116,9 @@ def test_search_small_window():
 
 
 def test_search_below_threshold_is_empty():
-    # no independent triple exists in the plane
-    rep = search_internal_extension(2, 4)
-    assert rep["configs_examined"] == 0
-    assert rep["violations"] == []
+    # no independent triple exists in the plane, and with N = n every
+    # column is a coloop: such a window would examine nothing, so it is
+    # refused rather than reported as passed
+    for max_n, max_cols in ((2, 4), (3, 3), (-1, 4), (3, -1)):
+        with pytest.raises(InputError, match="empty search window"):
+            search_internal_extension(max_n, max_cols)
