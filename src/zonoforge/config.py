@@ -360,34 +360,34 @@ def _subbasis_facets(c: Config) -> dict:
     return facet_of
 
 
-def _is_active(c: Config, b: int, basis_mask: int, pos, facet_of: dict) -> bool:
-    """b in the basis is internally active: b is the order-largest column
-    off the hyperplane spanned by basis - {b}."""
-    sub = basis_mask ^ (1 << b)
-    outside = facet_of.get(sub)
-    if outside is None:
-        raise ConsistencyError(
-            f"facet table has no hyperplane through the independent columns "
-            f"{sorted(_mask_to_set(sub))}: columns {[list(map(str, v)) for v in c.columns]}"
-        )
-    return max(outside, key=pos.__getitem__) == b
-
-
-def internal_bases(c: Config, order=None) -> tuple:
-    """Bases with no internally active element (w.r.t. the given order).
-
-    Each basis - {b} is looked up in the subbasis facet map, built once per
-    configuration; no activity test eliminates.
-    """
-    order = index_order(c) if order is None else tuple(order)
+def _activity(c: Config, order) -> list:
+    """(basis, mask of its internally active columns) for each basis, in
+    basis order: b is active when it is the order-largest column off the
+    hyperplane of basis - {b}, read from the subbasis facet map."""
     pos = {j: k for k, j in enumerate(order)}
     facet_of = _subbasis_facets(c)
     out = []
     for b_set in bases(c):
         mask = set_to_mask(b_set)
-        if not any(_is_active(c, b, mask, pos, facet_of) for b in b_set):
-            out.append(b_set)
-    return tuple(out)
+        active = 0
+        for b in b_set:
+            sub = mask ^ (1 << b)
+            outside = facet_of.get(sub)
+            if outside is None:
+                raise ConsistencyError(
+                    f"facet table has no hyperplane through the independent columns "
+                    f"{sorted(_mask_to_set(sub))}: columns {[list(map(str, v)) for v in c.columns]}"
+                )
+            if max(outside, key=pos.__getitem__) == b:
+                active |= 1 << b
+        out.append((b_set, active))
+    return out
+
+
+def internal_bases(c: Config, order=None) -> tuple:
+    """Bases with no internally active element (w.r.t. the given order)."""
+    order = index_order(c) if order is None else tuple(order)
+    return tuple(b_set for b_set, active in _activity(c, order) if not active)
 
 
 def i_internal_bases(c: Config, i_set) -> tuple:
@@ -399,15 +399,10 @@ def i_internal_bases(c: Config, i_set) -> tuple:
     i_set = frozenset(i_set)
     if not is_independent(c, i_set):
         raise NotIndependent(i_set)
-    order = order_with_last(c, i_set)
-    pos = {j: k for k, j in enumerate(order)}
-    facet_of = _subbasis_facets(c)
-    out = []
-    for b_set in bases(c):
-        mask = set_to_mask(b_set)
-        if not any(_is_active(c, b, mask, pos, facet_of) for b in b_set & i_set):
-            out.append(b_set)
-    return tuple(out)
+    i_mask = set_to_mask(i_set)
+    return tuple(
+        b_set for b_set, active in _activity(c, order_with_last(c, i_set)) if not active & i_mask
+    )
 
 
 # -- families between the bases and all independents -------------------------

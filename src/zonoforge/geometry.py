@@ -7,7 +7,17 @@ and the space spanned by the lowest-degree parts of the point exponentials
 interpolates any function on the vertex set uniquely.  That least space is
 read off the Taylor matrix of the exponentials, truncated at the first
 degree where the matrix has full rank (de Boor and Ron's least
-interpolant).  The lattice points of a unimodular zonotope are the distinct
+interpolant).
+
+Every matrix here is eliminated on integer rows.  The points are scaled by
+one common denominator L (q = L p) and the Taylor entry p^a / a! is written
+as q^a: column a of block d is multiplied by L^d a!.  A column scaling
+keeps the rank and each row's lowest nonzero column, and multiplying
+coefficient a of a least part by d!/a! leaves it scaled by the constant
+L^d d!, which its canonical basis drops.  Evaluating a canonical row of
+degree d at q scales its column of the evaluation matrix the same way.
+
+The lattice points of a unimodular zonotope are the distinct
 subset sums of its columns, one per independent set (Stanley's tiling of
 the zonotope by half-open parallelepipeds).
 """
@@ -19,7 +29,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .config import Config, bases, independents, rank_of
 from .errors import (
@@ -31,8 +42,8 @@ from .errors import (
     UnknownBasis,
 )
 from .graded import GradedSubspace
-from .linalg import _integer_row, canonical, frac, matrix, rank
-from .poly import monomials
+from .linalg import _integer_row, canonical, echelon, frac, matrix
+from .poly import monomials, multi_factorial
 
 MAX_SAMPLING_TRIES = 100
 
@@ -44,13 +55,14 @@ class Arrangement:
     vertices: tuple  # ((basis frozenset, point tuple), ...) in basis order
 
 
-def _simplicity_witness(c: Config, offsets) -> tuple | None:
+def _simplicity_witness(c: Config, aug) -> tuple | None:
     """First set of hyperplanes meeting in too small a codimension, if any.
 
-    A set S is fine when the system <x_s, u> = offset_s is either
-    inconsistent or has solution set of codimension exactly #S.  Sets of
-    size n+1 can never be fine while consistent, so checking sizes up to
-    n+1 certifies simplicity of the whole arrangement.
+    `aug` holds the integer rows [x | offset_x].  A set S is fine when the
+    system <x_s, u> = offset_s is either inconsistent or has solution set of
+    codimension exactly #S.  Sets of size n+1 can never be fine while
+    consistent, so checking sizes up to n+1 certifies simplicity of the
+    whole arrangement.
     """
     n = c.n
     for size in range(2, min(c.ncols, n + 1) + 1):
@@ -59,8 +71,7 @@ def _simplicity_witness(c: Config, offsets) -> tuple | None:
             # codimension #S, so only dependent subsets need the offsets
             r_plain = rank_of(c, frozenset(subset))
             if r_plain < size:
-                aug = [c.columns[j] + (offsets[j],) for j in subset]
-                if rank(matrix(aug)) == r_plain:
+                if len(echelon([aug[j] for j in subset], n + 1)) == r_plain:
                     return subset
     return None
 
@@ -90,9 +101,10 @@ def make_arrangement(c: Config, offsets=None, seed: int = 0) -> Arrangement:
         lam = list(fixed)
         for i in holes:
             lam[i] = Fraction(rng.randint(1, 1000 * c.ncols * (i + 1)))
-        witness = _simplicity_witness(c, lam)
+        aug = [_integer_row(x + (v,)) for x, v in zip(c.columns, lam)]
+        witness = _simplicity_witness(c, aug)
         if witness is None:
-            return _finish_arrangement(c, tuple(lam))
+            return _finish_arrangement(c, tuple(lam), aug)
     if holes:
         raise SamplingExhausted(tries)
     raise NotSimple(witness)
@@ -108,12 +120,12 @@ def _solve_vertex(rows, n: int) -> tuple | None:
     return tuple([Fraction(row[n], row[i]) for i, row in enumerate(basis)])
 
 
-def _finish_arrangement(c: Config, lam: tuple) -> Arrangement:
+def _finish_arrangement(c: Config, lam: tuple, aug) -> Arrangement:
     verts = []
     seen = {}
     for b in bases(c):
         cols = sorted(b)
-        point = _solve_vertex([_integer_row(c.columns[j] + (lam[j],)) for j in cols], c.n)
+        point = _solve_vertex([aug[j] for j in cols], c.n)
         if point is None:
             raise ConsistencyError(f"basis {cols} gave a singular vertex system")
         if point in seen:
@@ -139,75 +151,74 @@ def vertex_set(arr: Arrangement, basis_family) -> tuple:
     return tuple(sorted(points))
 
 
-def _distinct_points(points) -> list:
-    """The points as tuples of Fractions; DuplicatePoints on the first repeat."""
+def _integer_points(points) -> list:
+    """The distinct points times the lcm L of all their denominators, as
+    tuples of ints; DuplicatePoints on the first repeat."""
     pts = [tuple(frac(x) for x in p) for p in points]
     seen = set()
     for p in pts:
         if p in seen:
             raise DuplicatePoints(p)
         seen.add(p)
-    return pts
+    scale = lcm(*[x.denominator for p in pts for x in p])
+    return [tuple([x.numerator * (scale // x.denominator) for x in p]) for p in pts]
+
+
+def _monomial_values(q, d: int) -> list:
+    """q^a for each a in monomials(len(q), d)."""
+    return [prod([x**e for x, e in zip(q, a) if e]) for a in monomials(len(q), d)]
 
 
 def least_space(points, extra: int = 0) -> GradedSubspace:
     """Span of the lowest-degree parts of the exponentials of the points.
 
-    The Taylor rows of the point exponentials grow one degree block at a
-    time, from the first degree with at least as many monomials as points,
-    until they have full rank; no higher block can change a least part,
-    and #points - 1 always suffices for distinct points.  `extra` pads that
-    many blocks past the stop; the result must not depend on it
-    (truncation stability).  After one row reduction the pivot of each
-    reduced row sits in its lowest nonzero degree block, so that block is
-    the row's least part.
+    The integer Taylor rows grow one degree block at a time, from the first
+    degree with at least as many monomials as points, until their echelon
+    has full rank; no higher block can change a least part, and
+    #points - 1 always suffices for distinct points.  `extra` pads that many
+    blocks past the stop; the result must not depend on it (truncation
+    stability).  Each echelon row's pivot is its lowest nonzero column and
+    the pivots are distinct, so the degree-d slices of the rows with a pivot
+    in block d are independent and span the least parts of degree d.
     """
-    pts = _distinct_points(points)
+    pts = _integer_points(points)
     if not pts:
         return GradedSubspace.zero(0)
     nvars = len(pts[0])
     if any(len(p) != nvars for p in pts):
         raise DimensionMismatch("points of mixed dimension")
 
-    # x^e / e! per coordinate: a Taylor entry is a product of nvars of them
-    scaled = [[[Fraction(1)] for _ in range(nvars)] for _ in pts]
     rows = [[] for _ in pts]
     starts = []
 
     def add_block(d: int):
         starts.append(len(rows[0]))
-        for p, powers, row in zip(pts, scaled, rows):
-            if d:
-                for x, pw in zip(p, powers):
-                    pw.append(pw[-1] * x / d)
-            for exp in monomials(nvars, d):
-                val = Fraction(1)
-                for pw, e in zip(powers, exp):
-                    val *= pw[e]
-                row.append(val)
+        for q, row in zip(pts, rows):
+            row.extend(_monomial_values(q, d))
 
     first = next(d for d in itertools.count() if comb(nvars + d, nvars) >= len(pts))
     top = len(pts) - 1  # distinct points are separated in degree <= #points - 1
     for d in range(top + 1):
         add_block(d)
         if d >= first:
-            reached = rank(rows)
-            if reached == len(pts):
+            pivots = echelon(rows, len(rows[0]))
+            if len(pivots) == len(pts):
                 break
     else:
         raise ConsistencyError(
             f"Taylor matrix of {len(pts)} distinct points reached rank "
-            f"{reached} by degree {top}"
+            f"{len(pivots)} by degree {top}"
         )
     for k in range(1, extra + 1):
         add_block(d + k)
+    if extra:
+        pivots = echelon(rows, len(rows[0]))
 
     leasts: dict = {}
-    for row in canonical(map(_integer_row, rows), len(rows[0])):
-        piv = next(k for k, x in enumerate(row) if x)
+    for piv, row in pivots:
         d = bisect_right(starts, piv) - 1
-        lo = starts[d]
-        leasts.setdefault(d, []).append(row[lo : lo + len(monomials(nvars, d))])
+        scale = [factorial(d) // multi_factorial(a) for a in monomials(nvars, d)]
+        leasts.setdefault(d, []).append(list(map(mul, row[starts[d]:], scale)))
     space = GradedSubspace.from_components(nvars, leasts)
     if space.dim() != len(pts):
         raise ConsistencyError(
@@ -217,19 +228,22 @@ def least_space(points, extra: int = 0) -> GradedSubspace:
 
 
 def restriction_certificate(points, space: GradedSubspace) -> dict:
-    """Invertibility of evaluation of the space's basis on the point set."""
-    pts = _distinct_points(points)
-    polys = list(space.basis_polys())
-    square = len(polys) == len(pts)
-    invertible = False
-    if square and pts:
-        ev = matrix([[q.evaluate(p) for q in polys] for p in pts])
-        invertible = rank(ev) == len(pts)
-    elif square:
-        invertible = True
+    """Invertibility of evaluation of the space's basis on the point set,
+    read off its canonical rows at the integer points."""
+    pts = _integer_points(points)
+    dim = space.dim()
+    square = dim == len(pts)
+    ev = []
+    if square:
+        for q in pts:
+            ev.append([])
+            for d, basis in space.comps:
+                values = _monomial_values(q, d)
+                ev[-1].extend(sum(map(mul, b, values)) for b in basis)
+    invertible = square and len(echelon(ev, dim)) == dim
     return {
         "n_points": len(pts),
-        "dim_space": len(polys),
+        "dim_space": dim,
         "square": square,
         "invertible": invertible,
         "passed": square and invertible,

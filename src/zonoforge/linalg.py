@@ -9,10 +9,10 @@ the row space that the space alone determines (each RREF row scaled to
 coprime integers), so two row spaces are equal iff their canonical bases
 are identical tuples; integer_nullspace() gives a kernel in that form.
 
-rank() is the one Fraction interface: it scales each Fraction row by the
-lcm of its denominators (which changes no rank); other callers scale their
-rows with `_integer_row`, and `_monic` turns a canonical row back into its
-Fraction RREF row.  No floats enter anywhere.
+No Fraction is eliminated: callers scale their rows with `_integer_row`
+(which changes no rank) or build them from ints, and `_monic` turns a
+canonical row back into its Fraction RREF row.  det() alone runs on
+Fractions.  No floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -142,10 +142,6 @@ def canonical(rows, ncols: int, start=()) -> tuple:
     pairs (a canonical basis is one), which the rows extend."""
     # pivot columns are distinct
     return tuple([tuple(row) for _, row in sorted(_eliminate(rows, ncols, True, start))])
-
-
-def rank(m: Matrix) -> int:
-    return len(_eliminate(map(_integer_row, m), len(m[0]), False)) if m else 0
 
 
 def echelon(rows, ncols: int, start=()) -> list:

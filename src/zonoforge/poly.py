@@ -191,15 +191,6 @@ class HPoly:
             raise DimensionMismatch("coefficient vector has the wrong length")
         return cls(nvars, dict(zip(mons, vec)))
 
-    def evaluate(self, point) -> Fraction:
-        total = Fraction(0)
-        for exp, c in self.coeffs.items():
-            term = c
-            for x, e in zip(point, exp):
-                term *= frac(x) ** e
-            total += term
-        return total
-
     def render(self) -> str:
         """Canonical text form, terms in graded-lex order, rationals as p/q."""
         try:

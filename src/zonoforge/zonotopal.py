@@ -40,6 +40,7 @@ from math import factorial, prod
 
 from .config import (
     Config,
+    _activity,
     _coloop_mask,
     _delete,
     _mask_to_set,
@@ -64,7 +65,7 @@ from .config import (
 )
 from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, MissingB0, NotIndependent
 from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
-from .linalg import canonical, rank as mat_rank
+from .linalg import _integer_row, canonical, echelon
 from .poly import HPoly, monomials, multi_factorial, pair, perp_space_gens
 from .config import normal_power_condition, span_le
 
@@ -450,17 +451,17 @@ def d_space(bundle: Bundle, extra: int = 1) -> GradedSubspace:
 
 
 def dual_pairing_certificate(bundle: Bundle) -> dict:
-    """Gram-matrix invertibility between the primal basis and the kernel basis."""
+    """Gram-matrix invertibility between the primal basis and the kernel
+    basis, each Gram row scaled to integers."""
     if bundle.q_basis is not None:
         p_polys = [q for _, q in bundle.q_basis]
     else:
         p_polys = list(bundle.p_space.basis_polys())
     d_polys = list(d_space(bundle).basis_polys())
-    gram = tuple(tuple(pair(p, q) for q in d_polys) for p in p_polys)
+    gram = [_integer_row([pair(p, q) for q in d_polys]) for p in p_polys]
     square = len(p_polys) == len(d_polys)
-    invertible = square and len(p_polys) > 0 and mat_rank(gram) == len(p_polys)
-    if square and not p_polys:
-        invertible = True  # both spaces zero: vacuously a perfect pairing
+    # both spaces zero: an empty echelon, vacuously a perfect pairing
+    invertible = square and len(echelon(gram, len(d_polys))) == len(p_polys)
     return {
         "dim_primal": len(p_polys),
         "dim_kernel": len(d_polys),
@@ -527,15 +528,14 @@ def r37_sides(c: Config, i_set) -> tuple:
     bases not internal in the order with I last.  No column may be a coloop."""
     i_set = frozenset(i_set)
     order = order_with_last(c, i_set)
-    b_plain = set(internal_bases(c, order=order))
-    b_rel = i_internal_bases(c, i_set)
-    extra = _span(
-        c,
-        [set_to_mask(passive_set(c, b, order)) for b in b_rel if b not in b_plain],
-    )
+    i_mask = set_to_mask(i_set)
+    activity = _activity(c, order)
+    patch = [set_to_mask(passive_set(c, b, order)) for b, a in activity if a and not a & i_mask]
     lhs = deletion_intersection(c, i_set)
-    rhs = add(internal_space(c), extra)
-    return lhs, rhs, len(b_plain), len(b_rel)
+    rhs = add(internal_space(c), _span(c, patch))
+    n_plain = sum(not a for _, a in activity)
+    n_restricted = sum(not a & i_mask for _, a in activity)
+    return lhs, rhs, n_plain, n_restricted
 
 
 def codimension_counts(c: Config) -> dict:

@@ -1,7 +1,8 @@
 """The HPoly dict-arithmetic routes that the library no longer runs, kept
 verbatim as independent oracles.
 
-`linform_product` and `diff_apply` are the former `zonoforge.poly` helpers;
+`linform_product`, `diff_apply` and `evaluate` are the former
+`zonoforge.poly` helpers (`evaluate` was the method `HPoly.evaluate`);
 `reference_extend_basis` and `reference_perp_space_gens` are
 `config.extend_basis` and `poly.perp_space_gens` as they were before the
 extended configuration's rank cache and integer kernel rows replaced their
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from test_linalg import reference_nullspace
+from test_linalg import reference_nullspace, reference_rank
 from zonoforge.config import Config, is_independent
 from zonoforge.errors import DimensionMismatch, MissingB0, NotIndependent
-from zonoforge.linalg import matrix, rank
+from zonoforge.linalg import frac, matrix
 from zonoforge.poly import HPoly, monomials
 
 
@@ -48,6 +49,16 @@ def diff_apply(p: HPoly, q: HPoly) -> HPoly:
     return HPoly(p.nvars, out)
 
 
+def evaluate(poly: HPoly, point) -> Fraction:
+    total = Fraction(0)
+    for exp, c in poly.coeffs.items():
+        term = c
+        for x, e in zip(point, exp):
+            term *= frac(x) ** e
+        total += term
+    return total
+
+
 def reference_extend_basis(c: Config, i_set) -> frozenset:
     """Greedy completion of an independent set by the b0 vectors.
 
@@ -63,7 +74,7 @@ def reference_extend_basis(c: Config, i_set) -> frozenset:
     out = set(i_set)
     taken = []
     for k, b in enumerate(c.b0):
-        if rank(tuple(chosen) + tuple(taken) + (b,)) > rank(tuple(chosen) + tuple(taken)):
+        if reference_rank(tuple(chosen) + tuple(taken) + (b,)) > reference_rank(tuple(chosen) + tuple(taken)):
             out.add(c.ncols + k)
         # the span of "i_set plus all earlier b0 vectors" is what matters,
         # so every earlier b0 vector joins the spanning rows either way

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from zonoforge import config, linalg, zonotopal
 from zonoforge.cli import main, parse_document
 from zonoforge.errors import InputError
+from zonoforge.verify import THEOREMS
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -122,6 +124,16 @@ GOLDEN_RUNS = [
         "verify_explus_rational_b0.json",
         ["verify", "--input", str(INPUTS / "rational_b0.json"), "--theorem", "explus"],
     ),
+    # rational vertices: the least map and the restriction certificate on
+    # points with denominators
+    (
+        "verify_pi_rational_b0.json",
+        ["verify", "--input", str(INPUTS / "rational_b0.json"), "--theorem", "pi"],
+    ),
+    (
+        "verify_exzono_rational_b0.json",
+        ["verify", "--input", str(INPUTS / "rational_b0.json"), "--theorem", "exzono"],
+    ),
 ]
 
 
@@ -133,6 +145,37 @@ def test_golden_reports(tmp_path, capsys, golden_name, argv):
     assert code == 0
     assert "FAIL" not in captured.out
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
+
+
+def test_every_elimination_runs_on_int_rows(tmp_path, monkeypatch):
+    """No Fraction reaches the elimination kernel: every row that `verify`
+    hands to `linalg._eliminate`, for every theorem on every document, and
+    every pivot row it extends, holds ints only."""
+    real = linalg._eliminate
+    seen = []
+
+    def guarded(rows, ncols, reduced, pivots=()):
+        rows = [list(r) for r in rows]
+        for row in rows + [r for _, r in pivots]:
+            bad = [x for x in row if type(x) is not int]
+            assert not bad, f"non-int entries {bad[:3]} in an elimination row"
+        seen.append(len(rows))
+        return real(rows, ncols, reduced, pivots)
+
+    # cached results would hide the eliminations that built them
+    for mod in (config, zonotopal):
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    monkeypatch.setattr(linalg, "_eliminate", guarded)
+    out = tmp_path / "report.json"
+    for doc in sorted(INPUTS.glob("*.json")):
+        for theorem in THEOREMS:
+            argv = ["verify", "--input", str(doc), "--theorem", theorem, "--output", str(out)]
+            assert main(argv) == 0
+    assert sum(seen) > 0
+    with pytest.raises(AssertionError, match="non-int"):
+        linalg.echelon([[linalg.frac("1/2"), 1]], 2)
 
 
 def test_reports_parse_and_carry_the_envelope():

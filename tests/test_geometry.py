@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import reference_rref as rref
+from hpoly_oracle import evaluate
+from test_linalg import reference_rank, reference_rref as rref
 from zonoforge.config import Config, bases, independents, make_config
 from zonoforge.errors import (
     ConsistencyError,
@@ -30,7 +31,7 @@ from zonoforge.geometry import (
     zonotope_lattice,
 )
 from zonoforge.graded import GradedSubspace
-from zonoforge.linalg import frac, matrix, rank
+from zonoforge.linalg import _integer_row, frac, matrix
 from zonoforge.poly import HPoly, monomials, multi_factorial
 
 
@@ -44,7 +45,7 @@ def test_vertices_of_the_example(ex25):
         (one, -one, one),
         (-one, one, one),
     }
-    assert _simplicity_witness(arr.config, arr.offsets) is None
+    assert _simplicity_witness(arr.config, augmented_rows(arr.config, arr.offsets)) is None
     assert len(arr.vertices) == len(bases(ex25))
 
 
@@ -83,6 +84,11 @@ def test_sampling_cannot_fix_parallel_equal_offsets():
         make_arrangement(c)
 
 
+def augmented_rows(c: Config, offsets) -> list:
+    """The integer rows [x | offset_x] that make_arrangement hands on."""
+    return [_integer_row(x + (frac(v),)) for x, v in zip(c.columns, offsets)]
+
+
 def reference_simplicity_witness(c: Config, offsets) -> tuple | None:
     """The earlier check: plain and augmented rank of every subset."""
     n = c.n
@@ -90,8 +96,8 @@ def reference_simplicity_witness(c: Config, offsets) -> tuple | None:
         for subset in itertools.combinations(range(c.ncols), size):
             rows = [c.columns[j] for j in subset]
             aug = [row + (offsets[j],) for row, j in zip(rows, subset)]
-            r_plain = rank(matrix(rows))
-            if rank(matrix(aug)) == r_plain and r_plain < size:
+            r_plain = reference_rank(rows)
+            if reference_rank(aug) == r_plain and r_plain < size:
                 return subset
     return None
 
@@ -109,7 +115,8 @@ def test_simplicity_witness_matches_two_eliminations(seed):
     c = Config(tuple(cols))
     for _ in range(6):
         offsets = tuple(Fraction(rng.randint(0, 2)) for _ in cols)
-        assert _simplicity_witness(c, offsets) == reference_simplicity_witness(c, offsets)
+        witness = _simplicity_witness(c, augmented_rows(c, offsets))
+        assert witness == reference_simplicity_witness(c, offsets)
 
 
 def test_explicit_offsets_override(triangle):
@@ -184,6 +191,53 @@ def test_restriction_certificate_random_points():
         space = least_space(pts)
         assert space.dim() == len(pts)
         assert restriction_certificate(pts, space)["passed"]
+
+
+def reference_restriction_invertible(points, space: GradedSubspace) -> bool:
+    """The RREF basis evaluated at the points by HPoly dict arithmetic,
+    ranked by the dense Fraction loop."""
+    polys = space.basis_polys()
+    ev = [[evaluate(q, p) for q in polys] for p in points]
+    return len(polys) == len(points) and reference_rank(ev) == len(points)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_restriction_certificate_matches_evaluation_oracle(seed):
+    # mixed denominators make the common scale L a product of primes
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    count = rng.randint(1, 6)
+    pts = set()
+    while len(pts) < count:
+        pts.add(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 7, 11, 13))) for _ in range(n)))
+    pts = sorted(pts)
+    space = least_space(pts)
+    assert restriction_certificate(pts, space)["invertible"]
+    assert reference_restriction_invertible(pts, space)
+    # the same space against too few or other points of the right count
+    others = [tuple(x + Fraction(k, 7) for x in p) for k, p in enumerate(pts)]
+    got = restriction_certificate(others, space)
+    assert got["invertible"] == reference_restriction_invertible(others, space)
+    if count > 1:
+        # on a line through the origin two forms of one degree are proportional,
+        # so a space with a component of dimension two or more is singular there
+        line = [tuple(Fraction(k, 11) * x for x in pts[-1]) for k in range(1, count + 1)]
+        if len(set(line)) == count:
+            got = restriction_certificate(line, space)
+            assert got["invertible"] == reference_restriction_invertible(line, space)
+
+
+def test_restriction_certificate_singular_square():
+    # three collinear points against 1, t1, t2: the evaluation matrix is
+    # square, but t2 vanishes on every point
+    space = GradedSubspace.from_components(2, {0: [[1]], 1: [[1, 0], [0, 1]]})
+    pts = [(0, 0), (1, 0), (2, 0)]
+    cert = restriction_certificate(pts, space)
+    assert cert["square"] and not cert["invertible"] and not cert["passed"]
+    assert not reference_restriction_invertible(pts, space)
+    # a point off the line makes the same square system invertible
+    cert = restriction_certificate([(0, 0), (1, 0), (Fraction(1, 7), Fraction(2, 13))], space)
+    assert cert["invertible"] and cert["passed"]
 
 
 # Reference: the least map with the Taylor matrix truncated at the fixed
@@ -275,7 +329,8 @@ def test_least_space_matches_fixed_truncation_degenerate(ex25):
 def test_least_space_rank_short_of_full_is_a_consistency_error(monkeypatch):
     import zonoforge.geometry as geometry
 
-    monkeypatch.setattr(geometry, "rank", lambda m: len(m) - 1)
+    real = geometry.echelon
+    monkeypatch.setattr(geometry, "echelon", lambda rows, ncols: real(rows, ncols)[:-1])
     msg = "Taylor matrix of 3 distinct points reached rank 2 by degree 2"
     with pytest.raises(ConsistencyError, match=msg):
         least_space([(0,), (1,), (2,)])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graded_oracle import assert_canonical
-from test_linalg import reference_nullspace as nullspace
+from test_linalg import reference_nullspace as nullspace, reference_rank
 from zonoforge import graded
 from zonoforge.cli import parse_document
 from zonoforge.config import Config, SemiExternalFamily, ensure_family, semiexternal_close
@@ -31,7 +31,7 @@ from zonoforge.graded import (
     intersect,
     kernel,
 )
-from zonoforge.linalg import _integer_row, _monic, canonical, rank
+from zonoforge.linalg import _integer_row, _monic, canonical
 from zonoforge.poly import HPoly, monomials
 from zonoforge.zonotopal import bundle_for
 
@@ -334,7 +334,7 @@ def reference_direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: i
         basis_p = p.component(d)
         basis_i = reference_ideal_component(gens, d)
         full = component_dim(p.nvars, d)
-        stacked_rank = rank(basis_p + basis_i)
+        stacked_rank = reference_rank(basis_p + basis_i)
         line = {
             "degree": d,
             "dim_space": len(basis_p),

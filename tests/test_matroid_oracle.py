@@ -5,7 +5,9 @@ and passive_set / span_le compare entries of the rank cache.  The oracles
 below are verbatim copies of the earlier routes, which found each
 subbasis hyperplane by a nullspace normal and each span test by ranks of
 freshly built Fraction rows.  A direct definition of activity from
-`linalg.rank` alone, which never reads the facet table, is a third route.
+ranks alone, which never reads the facet table, is a third route.  Every
+rank here comes from test_linalg's dense Fraction loop, so no oracle
+shares the library's elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import reference_nullspace as nullspace
+from test_linalg import reference_nullspace as nullspace, reference_rank
 from zonoforge import config
 from zonoforge.config import (
     Config,
@@ -36,7 +38,7 @@ from zonoforge.config import (
     span_le,
 )
 from zonoforge.errors import ConsistencyError, NotIndependent
-from zonoforge.linalg import frac, primitive_integer, rank
+from zonoforge.linalg import frac, primitive_integer
 
 
 # -- the earlier routes, verbatim ---------------------------------------------
@@ -44,14 +46,14 @@ from zonoforge.linalg import frac, primitive_integer, rank
 
 def span_contains(c: Config, cols, vec) -> bool:
     rows = c.subset_rows(cols)
-    return rank(rows + (tuple(frac(x) for x in vec),)) == rank(rows)
+    return reference_rank(rows + (tuple(frac(x) for x in vec),)) == reference_rank(rows)
 
 
 def reference_span_le(c: Config, a, b) -> bool:
     """span(columns a) contained in span(columns b)."""
     rows_b = c.subset_rows(b)
-    rb = rank(rows_b)
-    return rank(rows_b + c.subset_rows(a)) == rb
+    rb = reference_rank(rows_b)
+    return reference_rank(rows_b + c.subset_rows(a)) == rb
 
 
 def reference_passive_set(c: Config, y, order=None) -> frozenset:
@@ -123,7 +125,7 @@ def defined_internal_bases(c: Config, order) -> tuple:
             rows = c.subset_rows(b_set - {b})
             later_off = [
                 x for x in range(c.ncols)
-                if pos[x] > pos[b] and rank(rows + (c.columns[x],)) == c.n
+                if pos[x] > pos[b] and reference_rank(rows + (c.columns[x],)) == c.n
             ]
             active = active or not later_off
         if not active:
@@ -135,7 +137,7 @@ def defined_internal_bases(c: Config, order) -> tuple:
 
 
 def full_rank(cols, n) -> bool:
-    return rank(tuple(tuple(Fraction(x) for x in v) for v in cols)) == n
+    return reference_rank(tuple(tuple(Fraction(x) for x in v) for v in cols)) == n
 
 
 def random_config(rng: random.Random, n: int, ncols: int) -> Config:

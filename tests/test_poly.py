@@ -9,7 +9,7 @@ import pytest
 
 from zonoforge.errors import DimensionMismatch
 from zonoforge.graded import IdealGens
-from hpoly_oracle import diff_apply, linform_product
+from hpoly_oracle import diff_apply, evaluate, linform_product
 from zonoforge.poly import (
     HPoly,
     monomials,
@@ -93,8 +93,8 @@ def test_coeff_vector_round_trip():
 
 def test_evaluate():
     p = linform_product(2, [(1, 1), (1, -1)])  # t1^2 - t2^2
-    assert p.evaluate((3, 2)) == 5
-    assert p.evaluate((Fraction(1, 2), Fraction(1, 2))) == 0
+    assert evaluate(p, (3, 2)) == 5
+    assert evaluate(p, (Fraction(1, 2), Fraction(1, 2))) == 0
 
 
 def test_diff_apply_falling_factorials():

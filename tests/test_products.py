@@ -27,7 +27,7 @@ from hpoly_oracle import (
     reference_extend_basis,
     reference_perp_space_gens,
 )
-from test_linalg import reference_row_basis
+from test_linalg import reference_rank, reference_row_basis
 from zonoforge.cli import parse_document
 from zonoforge.config import (
     Config,
@@ -44,7 +44,7 @@ from zonoforge.config import (
     subset_polynomial,
 )
 from zonoforge.graded import GradedSubspace
-from zonoforge.linalg import canonical, rank
+from zonoforge.linalg import canonical
 from zonoforge.poly import HPoly, _shifts, monomials, perp_space_gens
 from zonoforge.zonotopal import (
     _augment,
@@ -219,7 +219,7 @@ def random_rational_b0(rng: random.Random, n: int) -> tuple:
         k = _entry(rng)
         cols[0] = [x + k * y for x, y in zip(cols[0], cols[-1])]
     b0 = tuple(tuple(col) for col in cols)
-    assert rank(b0) == n
+    assert reference_rank(b0) == n
     return b0
 
 

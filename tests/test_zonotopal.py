@@ -7,6 +7,7 @@ and are frozen here as oracles.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from zonoforge.errors import (
     NotIndependent,
 )
 from zonoforge.graded import (
+    GradedSubspace,
     IdealGens,
     contains,
     hilbert_quotient,
@@ -336,6 +338,18 @@ def test_dual_pairing_certificate(ex25, fam1):
         cert = dual_pairing_certificate(b)
         assert cert["passed"] and cert["invertible"]
         assert cert["dim_primal"] == cert["dim_kernel"] == b.dim()
+
+
+def test_dual_pairing_certificate_singular_gram(identity2):
+    # the kernel of the unit square's cover ideal is 1, t1, t2, t1*t2; a
+    # primal side of the same dimension with t1^2 in place of t2 has a zero
+    # Gram row, since t1^2 pairs with nothing in the kernel
+    b = external(identity2)
+    assert d_space(b).comps == ((0, ((1,),)), (1, ((1, 0), (0, 1))), (2, ((0, 1, 0),)))
+    assert dual_pairing_certificate(b)["invertible"]
+    other = GradedSubspace.from_components(2, {0: [[1]], 1: [[1, 0]], 2: [[1, 0, 0], [0, 1, 0]]})
+    cert = dual_pairing_certificate(dataclasses.replace(b, p_space=other, q_basis=None))
+    assert cert == {"dim_primal": 4, "dim_kernel": 4, "invertible": False, "passed": False}
 
 
 def test_stabilization_cap_scales(ex25):
