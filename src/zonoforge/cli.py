@@ -7,15 +7,15 @@ file and a short human summary goes to stdout; without it the JSON itself
 is the stdout output.
 
 Exit codes: 0 all certificates passed, 1 a certificate failed (or an
-internal consistency check tripped), 2 bad input.
+internal consistency check tripped), 2 bad input or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .config import (
@@ -33,7 +33,7 @@ from .config import (
 )
 from .errors import InputError, ZonoforgeError
 from .graded import kernel
-from .verify import BATTERIES, THEOREMS, run_theorem, search_internal_extension
+from .verify import BATTERIES, run_theorem, search_internal_extension
 from .zonotopal import bundle_for
 
 DOC_FIELDS = ("matrix", "b0", "lambda", "lambda_b0", "iprime", "iprime_closed", "i", "seed")
@@ -44,8 +44,6 @@ def _rat(value, where: str) -> Fraction:
         raise InputError(
             f"field {where}: expected an integer or a 'p/q' string, got {value!r}"
         )
-    if isinstance(value, int):
-        return Fraction(value)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -64,16 +62,10 @@ def _rat_matrix(rows, where: str):
     return out
 
 
-def _rat_list(values, where: str, allow_none: bool):
+def _rat_list(values, where: str):
     if not isinstance(values, list):
         raise InputError(f"field {where}: expected a list")
-    out = []
-    for j, x in enumerate(values):
-        if x is None and allow_none:
-            out.append(None)
-        else:
-            out.append(_rat(x, f"{where}[{j}]"))
-    return out
+    return [None if x is None else _rat(x, f"{where}[{j}]") for j, x in enumerate(values)]
 
 
 def _index_list(values, where: str, ncols: int) -> list:
@@ -106,16 +98,8 @@ def parse_document(raw: dict):
         raise InputError("field matrix: required")
     mat = _rat_matrix(raw["matrix"], "matrix")
     b0 = _rat_matrix(raw["b0"], "b0") if raw.get("b0") is not None else None
-    lam = (
-        _rat_list(raw["lambda"], "lambda", allow_none=True)
-        if raw.get("lambda") is not None
-        else None
-    )
-    lam_b0 = (
-        _rat_list(raw["lambda_b0"], "lambda_b0", allow_none=True)
-        if raw.get("lambda_b0") is not None
-        else None
-    )
+    lam = _rat_list(raw["lambda"], "lambda") if raw.get("lambda") is not None else None
+    lam_b0 = _rat_list(raw["lambda_b0"], "lambda_b0") if raw.get("lambda_b0") is not None else None
     c = make_config(mat, b0_rows=b0, lam=lam, lam_b0=lam_b0)
 
     closed = raw.get("iprime_closed", False)
@@ -187,12 +171,9 @@ def cmd_matroid(c: Config, meta) -> dict:
         },
         "internal_bases": [sorted(b) for b in internal_bases(c)],
     }
-    if meta["i"] is not None:
-        result["i_internal_bases"] = [
-            sorted(b) for b in i_internal_bases(c, frozenset(meta["i"]))
-        ]
-    else:
-        result["i_internal_bases"] = None
+    result["i_internal_bases"] = None if meta["i"] is None else [
+        sorted(b) for b in i_internal_bases(c, frozenset(meta["i"]))
+    ]
     return result
 
 
@@ -231,13 +212,10 @@ def cmd_space(c: Config, meta, kind: str, dmax=None) -> dict:
         else [sorted(b) for b in bundle.b_minus],
         "order": None if bundle.order is None else list(bundle.order),
     }
-    if dmax is not None:
-        result["d_space"] = {
-            "dmax": dmax,
-            "basis": _render_polys(kernel(bundle.j_ideal, dmax).basis_polys()),
-        }
-    else:
-        result["d_space"] = None
+    result["d_space"] = None if dmax is None else {
+        "dmax": dmax,
+        "basis": _render_polys(kernel(bundle.j_ideal, dmax).basis_polys()),
+    }
     return result
 
 
@@ -319,50 +297,80 @@ def _human_search(result) -> str:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zonoforge",
-        description="Exact certificates for hierarchical spaces of a rational vector configuration.",
-    )
-    parser.add_argument("--version", action="version", version=f"zonoforge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: zonoforge COMMAND [--FLAG VALUE | --FLAG=VALUE]... | -h | --help | --version
+Exact certificates for hierarchical spaces of a rational vector configuration.
 
-    def common(p, input_required=True):
-        p.add_argument("--input", required=input_required, help="JSON configuration document")
-        p.add_argument("--output", help="write the JSON report here (human summary to stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the document's seed")
+  matroid     --input DOC [--seed N] [--output FILE]
+              bases, independents, facets, histograms
+  space       --input DOC --kind KIND [--dmax N] [--seed N] [--output FILE]
+              construct one space bundle
+  verify      --input DOC --theorem NAME [--dmax N] [--seed N] [--output FILE]
+              run one theorem's certificate battery
+  search-r37  [--input DOC] [--max-n N] [--max-cols N] [--output FILE]
+              search small configurations for a patched-extension violation
 
-    p_mat = sub.add_parser("matroid", help="bases, independents, facets, histograms")
-    common(p_mat)
+  --input DOC     JSON configuration document
+  --output FILE   write the JSON report here (human summary to stdout)
+  --seed N        override the document's seed
+  --kind KIND     central|external|semi_external|semi_internal
+  --theorem NAME  th1|exzono|pi|plus|basis|explus|t26|t28|t33|t34|r37
+  --dmax N        space: also render the cover-ideal kernel up to this degree;
+                  verify: override the direct-sum certificate depth (N >= 0)
+  --max-n N       largest ambient dimension (the search starts at 3; cap 3)
+  --max-cols N    largest column count (cap 6)"""
 
-    p_space = sub.add_parser("space", help="construct one space bundle")
-    common(p_space)
-    p_space.add_argument(
-        "--kind",
-        required=True,
-        choices=("central", "external", "semi_external", "semi_internal"),
-    )
-    p_space.add_argument(
-        "--dmax", type=int, default=None, help="also render the cover-ideal kernel up to this degree"
-    )
 
-    p_ver = sub.add_parser("verify", help="run one theorem's certificate battery")
-    common(p_ver)
-    p_ver.add_argument("--theorem", required=True, help="|".join(THEOREMS))
-    p_ver.add_argument(
-        "--dmax", type=int, default=None, help="override the direct-sum certificate depth"
-    )
+def _natural(value: str) -> int:
+    if int(value) < 0:
+        raise ValueError(value)
+    return int(value)
 
-    p_search = sub.add_parser(
-        "search-r37", help="search small configurations for a patched-extension violation"
-    )
-    common(p_search, input_required=False)
-    p_search.add_argument(
-        "--max-n", type=int, default=3, help="largest ambient dimension (the search starts at 3; cap 3)"
-    )
-    p_search.add_argument("--max-cols", type=int, default=4, help="largest column count (cap 6)")
 
-    return parser
+def _kind(value: str) -> str:
+    if value in ("central", "external", "semi_external", "semi_internal"):
+        return value
+    raise ValueError(value)
+
+
+# command -> flag -> (attribute, converter, default, required)
+_INPUT, _OUTPUT = ("input", str, None, True), ("output", str, None, False)
+_SEED, _DMAX = ("seed", int, None, False), ("dmax", _natural, None, False)
+COMMANDS = {
+    "matroid": {"--input": _INPUT, "--output": _OUTPUT, "--seed": _SEED},
+    "space": {"--input": _INPUT, "--output": _OUTPUT, "--seed": _SEED,
+              "--kind": ("kind", _kind, None, True), "--dmax": _DMAX},
+    "verify": {"--input": _INPUT, "--output": _OUTPUT, "--seed": _SEED,
+               "--theorem": ("theorem", str, None, True), "--dmax": _DMAX},
+    "search-r37": {"--input": ("input", str, None, False), "--output": _OUTPUT,
+                   "--max-n": ("max_n", int, 3, False), "--max-cols": ("max_cols", int, 4, False)},
+}
+
+
+def _parse_argv(argv: list) -> SimpleNamespace:
+    """One pass over argv against COMMANDS; a usage error raises ValueError."""
+    flags = COMMANDS.get(argv[0]) if argv else None
+    if flags is None:
+        raise ValueError(f"unknown command {argv[0]!r}" if argv else "missing command")
+    args = {attr: default for attr, _, default, _ in flags.values()}
+    rest = iter(argv[1:])
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{argv[0]}: unrecognized argument {token!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value in flags:
+                raise ValueError(f"argument {flag}: expected a value")
+        attr, convert, _, _ = flags[flag]
+        try:
+            args[attr] = convert(value)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid value {value!r}") from None
+    missing = [f for f, (attr, _, _, required) in flags.items() if required and args[attr] is None]
+    if missing:
+        raise ValueError(f"{argv[0]}: missing required {', '.join(missing)}")
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def _load(path: str) -> dict:
@@ -376,7 +384,18 @@ def _load(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
+    if "--version" in argv:
+        print(f"zonoforge {__version__}")
+        return 0
+    try:
+        args = _parse_argv(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nzonoforge: error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "search-r37":
             echo = {}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch, NoStabilization
+from .errors import DimensionMismatch, InputError, NoStabilization
 from .linalg import _integer_row, _monic, canonical, echelon, integer_nullspace, primitive_integer
 from .poly import HPoly, _shifts, monomials
 
@@ -195,6 +195,12 @@ def _falling(m: tuple, a: tuple) -> int:
     return out
 
 
+def _check_dmax(dmax: int) -> None:
+    # a negative bound would leave no degree to check, and the check would pass
+    if dmax < 0:
+        raise InputError(f"dmax must be a non-negative degree, got {dmax}")
+
+
 def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
     """Degrees 0..dmax of {q : g(D) q = 0 for every generator g}.
 
@@ -203,6 +209,7 @@ def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
     integer row per target monomial u of degree d - e.  The component is
     the integer nullspace of those rows (everything when there are none).
     """
+    _check_dmax(dmax)
     n = gens.nvars
     scaled = [
         (g.degree, [(a, c) for a, c in zip(monomials(n, g.degree), primitive_integer(g.coeff_vector())) if c])
@@ -313,6 +320,7 @@ def direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: int | None 
     """
     if dmax is None:
         dmax = p.top_degree() + 1
+    _check_dmax(dmax)
     ideal = Ideal(gens)
     table = []
     ok = True

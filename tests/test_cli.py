@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from zonoforge import config, linalg, zonotopal
-from zonoforge.cli import main, parse_document
+from zonoforge import __version__, config, linalg, zonotopal
+from zonoforge.cli import USAGE, _parse_argv, main, parse_document
 from zonoforge.errors import InputError
 from zonoforge.verify import THEOREMS
 
@@ -81,6 +81,124 @@ def test_parse_document_lambda_holes_allowed():
 def test_parse_document_iprime_closed_must_be_bool():
     with pytest.raises(InputError, match="iprime_closed"):
         parse_document({"matrix": [[1, 0], [0, 1]], "iprime_closed": 1})
+
+
+# -- argv grammar ----------------------------------------------------------------
+
+# one line of each synopsis shape and the attributes main reads from it
+SHAPES = [
+    (["matroid", "--input", "D"], {"input": "D", "output": None, "seed": None}),
+    (
+        ["matroid", "--input", "D", "--seed", "5", "--output", "F"],
+        {"input": "D", "output": "F", "seed": 5},
+    ),
+    (
+        ["space", "--input", "D", "--kind", "central"],
+        {"input": "D", "output": None, "seed": None, "kind": "central", "dmax": None},
+    ),
+    (
+        ["space", "--kind", "semi_internal", "--dmax", "0", "--seed", "-4", "--input", "D", "--output", "F"],
+        {"input": "D", "output": "F", "seed": -4, "kind": "semi_internal", "dmax": 0},
+    ),
+    (
+        ["verify", "--input", "D", "--theorem", "t28"],
+        {"input": "D", "output": None, "seed": None, "theorem": "t28", "dmax": None},
+    ),
+    (
+        ["verify", "--theorem", "pi", "--dmax", "3", "--seed", "2", "--input", "D", "--output", "F"],
+        {"input": "D", "output": "F", "seed": 2, "theorem": "pi", "dmax": 3},
+    ),
+    (["search-r37"], {"input": None, "output": None, "max_n": 3, "max_cols": 4}),
+    (
+        ["search-r37", "--input", "D", "--max-n", "3", "--max-cols", "6", "--output", "F"],
+        {"input": "D", "output": "F", "max_n": 3, "max_cols": 6},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", SHAPES, ids=[" ".join(a) for a, _ in SHAPES])
+def test_every_synopsis_shape_parses(argv, expected):
+    assert vars(_parse_argv(argv)) == {"command": argv[0], **expected}
+
+
+@pytest.mark.parametrize("argv,_", SHAPES, ids=[" ".join(a) for a, _ in SHAPES])
+def test_equals_form_and_last_repeat_win(argv, _):
+    pairs = [argv[i : i + 2] for i in range(1, len(argv), 2)]
+    joined = [argv[0]] + [f"{flag}={value}" for flag, value in pairs]
+    assert vars(_parse_argv(joined)) == vars(_parse_argv(argv))
+    # every flag given once before, with another valid value, keeps the later value
+    earlier = [x for flag, _v in pairs for x in (flag, "external" if flag == "--kind" else "0")]
+    shadowed = [argv[0]] + earlier + argv[1:]
+    assert vars(_parse_argv(shadowed)) == vars(_parse_argv(argv))
+
+
+TRIANGLE = str(INPUTS / "triangle.json")
+USAGE_ERRORS = [
+    ([], "missing command"),
+    (["bogus", "--input", TRIANGLE], "'bogus'"),
+    (["matroid", "--input", TRIANGLE, "--bogus", "1"], "'--bogus'"),
+    (["matroid", "--input", TRIANGLE, "stray"], "'stray'"),
+    (["matroid", "--inp", TRIANGLE], "'--inp'"),  # flags match in full, never by prefix
+    (["matroid", "--input"], "argument --input: expected a value"),
+    (["verify", "--input", "--theorem", "pi"], "argument --input: expected a value"),
+    (["verify", "--input", TRIANGLE], "verify: missing required --theorem"),
+    (["space", "--kind", "central"], "space: missing required --input"),
+    (["matroid", "--input", TRIANGLE, "--seed", "1.5"], "argument --seed: invalid value '1.5'"),
+    (["search-r37", "--max-cols=six"], "argument --max-cols: invalid value 'six'"),
+    (["space", "--input", TRIANGLE, "--kind", "cubic"], "argument --kind: invalid value 'cubic'"),
+    (["search-r37", "--seed", "7", "--input", TRIANGLE], "search-r37: unrecognized argument '--seed'"),
+    # a negative depth would check no degree and still pass
+    (
+        ["verify", "--theorem", "exzono", "--dmax", "-3", "--input", TRIANGLE],
+        "argument --dmax: invalid value '-3'",
+    ),
+    (
+        ["space", "--kind", "central", "--dmax=-1", "--input", TRIANGLE],
+        "argument --dmax: invalid value '-1'",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,needle", USAGE_ERRORS, ids=[n for _, n in USAGE_ERRORS])
+def test_usage_errors_exit_2(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{USAGE}\nzonoforge: error: ")
+    assert needle in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["verify", "--help"], ["space", "--input", TRIANGLE, "-h"], ["bogus", "--help"]],
+)
+def test_help_anywhere_prints_usage(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (USAGE + "\n", "")
+
+
+def test_version(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"zonoforge {__version__}\n", "")
+
+
+def test_readme_commands_block_is_usage():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Commands\n\n```text\n", 1)[1].split("```", 1)[0]
+    assert block == USAGE + "\n"
+
+
+def test_usage_lists_every_theorem_and_kind():
+    # USAGE is a literal, so it cannot follow verify.BATTERIES by itself
+    assert f"--theorem NAME  {'|'.join(THEOREMS)}\n" in USAGE
+    assert "--kind KIND     central|external|semi_external|semi_internal\n" in USAGE
+    for kind in ("central", "external", "semi_external", "semi_internal"):
+        assert vars(_parse_argv(["space", "--input", "D", "--kind", kind]))["kind"] == kind
+
+
+def test_dmax_zero_renders_degree_zero(capsys):
+    assert main(["space", "--input", TRIANGLE, "--kind", "central", "--dmax", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["d_space"] == {"dmax": 0, "basis": ["1"]}
 
 
 # -- golden reports ------------------------------------------------------------
@@ -406,3 +524,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "matroid"
+
+
+def test_import_leaves_argparse_unloaded():
+    probe = "import sys, zonoforge.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--version"], 0),
+        (["verify", "--theorem", "pi", "--dmax", "-1", "--input", str(INPUTS / "triangle.json")], 2),
+    ],
+)
+def test_module_entry_point_exit_codes(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonoforge", *argv], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == code, proc.stderr

@@ -16,7 +16,7 @@ from test_linalg import reference_nullspace as nullspace, reference_rank
 from zonoforge import graded
 from zonoforge.cli import parse_document
 from zonoforge.config import Config, SemiExternalFamily, ensure_family, semiexternal_close
-from zonoforge.errors import DimensionMismatch, NoStabilization
+from zonoforge.errors import DimensionMismatch, InputError, NoStabilization
 from zonoforge.graded import (
     GradedSubspace,
     Ideal,
@@ -126,6 +126,16 @@ def test_direct_sum_certificate_pass_and_fail():
     assert all(line["passed"] for line in cert["degrees"])
     wrong = GradedSubspace.from_spanning(2, [HPoly.monomial(2, (2, 0))])
     assert not direct_sum_certificate(wrong, g)["passed"]
+
+
+def test_negative_dmax_is_refused():
+    # a negative bound leaves no degree to check, so a certificate would pass vacuously
+    g = gens_of(2, [(2, 0), (0, 2)])
+    with pytest.raises(InputError, match="dmax"):
+        kernel(g, -1)
+    with pytest.raises(InputError, match="dmax"):
+        direct_sum_certificate(kernel(g, 2), g, dmax=-3)
+    assert direct_sum_certificate(kernel(g, 2), g, dmax=0)["degrees"][0]["degree"] == 0
 
 
 def test_ideal_equality_and_containment():
