@@ -252,6 +252,16 @@ GOLDEN_RUNS = [
         "verify_exzono_rational_b0.json",
         ["verify", "--input", str(INPUTS / "rational_b0.json"), "--theorem", "exzono"],
     ),
+    # a rendered cover-ideal kernel with rational coefficients, its
+    # generators taken from the rational X u B0
+    (
+        "space_external_dmax6_rational_b0.json",
+        ["space", "--input", str(INPUTS / "rational_b0.json"), "--kind", "external", "--dmax", "6"],
+    ),
+    (
+        "space_semi_internal_rational_b0.json",
+        ["space", "--input", str(INPUTS / "rational_b0.json"), "--kind", "semi_internal"],
+    ),
 ]
 
 
