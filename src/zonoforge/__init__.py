@@ -40,7 +40,7 @@ from .geometry import (
     zonotope_lattice,
 )
 from .graded import GradedSubspace, IdealGens, direct_sum_certificate, hilbert_quotient, kernel
-from .poly import HPoly, pair
+from .poly import HPoly
 from .verify import run_theorem, search_internal_extension
 from .zonotopal import (
     Bundle,
@@ -88,7 +88,6 @@ __all__ = [
     "make_arrangement",
     "make_config",
     "minimal_completion_sum",
-    "pair",
     "restriction_certificate",
     "run_theorem",
     "search_internal_extension",

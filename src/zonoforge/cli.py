@@ -33,6 +33,7 @@ from .config import (
 )
 from .errors import InputError, ZonoforgeError
 from .graded import kernel
+from .poly import HPoly
 from .verify import BATTERIES, run_theorem, search_internal_extension
 from .zonotopal import bundle_for
 
@@ -54,6 +55,8 @@ def _rat_matrix(rows, where: str):
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise InputError(f"field {where}: expected a non-empty list of rows")
     width = len(rows[0])
+    if not width:
+        raise InputError(f"field {where}: the matrix has no columns")
     out = []
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -147,8 +150,16 @@ def _echo(c: Config, meta) -> dict:
     }
 
 
-def _render_polys(polys) -> list:
-    return [p.render() for p in polys]
+def _render(nvars: int, poly) -> str:
+    """The text of a (degree, integer row, denominator) polynomial: the one
+    place an HPoly is made."""
+    d, row, den = poly
+    return HPoly.from_coeff_vector(nvars, d, [Fraction(x, den) for x in row]).render()
+
+
+def _render_ideal(gens) -> list:
+    """Generator texts in (degree, text) order."""
+    return [text for _, text in sorted((g[0], _render(gens.nvars, g)) for g in gens.gens)]
 
 
 def cmd_matroid(c: Config, meta) -> dict:
@@ -195,14 +206,14 @@ def cmd_space(c: Config, meta, kind: str, dmax=None) -> dict:
         "q_basis": None
         if bundle.q_basis is None
         else [
-            {"columns": sorted(cols), "poly": q.render()}
+            {"columns": sorted(cols), "poly": _render(c.n, q)}
             for cols, q in bundle.q_basis
         ],
-        "i_ideal": _render_polys(bundle.i_ideal.gens),
+        "i_ideal": _render_ideal(bundle.i_ideal),
         "ieps_ideal": None
         if bundle.ieps_ideal is None
-        else _render_polys(bundle.ieps_ideal.gens),
-        "j_ideal": _render_polys(bundle.j_ideal.gens),
+        else _render_ideal(bundle.ieps_ideal),
+        "j_ideal": _render_ideal(bundle.j_ideal),
         "family": None
         if bundle.family is None
         else [sorted(m) for m in bundle.family],
@@ -214,7 +225,7 @@ def cmd_space(c: Config, meta, kind: str, dmax=None) -> dict:
     }
     result["d_space"] = None if dmax is None else {
         "dmax": dmax,
-        "basis": _render_polys(kernel(bundle.j_ideal, dmax).basis_polys()),
+        "basis": [_render(c.n, p) for p in kernel(bundle.j_ideal, dmax).basis_polys()],
     }
     return result
 

@@ -21,7 +21,8 @@ Each Config also carries two private tables, built at most once each:
   integer coefficient row and a denominator, filled on demand by `_product`
   through the mask recursion p_Y = p_{Y - max Y} * l_{max Y}, so every
   product is one multiplication of a stored one; `subset_polynomial`
-  reads it;
+  reads it and hands p_Y on in the package's polynomial format,
+  (degree, integer row, denominator);
 - the matroid table: the (n-1)-set -> facet map, with each facet's
   off-hyperplane columns, which internal activity reads (no activity test
   eliminates), the central space of each single-column deletion X - x,
@@ -43,7 +44,6 @@ the statements about I-internal bases need I to come last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
@@ -54,13 +54,14 @@ from .errors import (
     ConsistencyError,
     DimensionMismatch,
     FamilyNotClosed,
+    InputError,
     MissingB0,
     NotIndependent,
     RankDeficient,
     ZeroColumn,
 )
 from .linalg import _integer_row, echelon, frac, integer_nullspace, matrix
-from .poly import HPoly, _times_linear
+from .poly import _times_linear
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class Config:
         cols = tuple(tuple(frac(x) for x in col) for col in self.columns)
         object.__setattr__(self, "columns", cols)
         if not cols:
-            raise RankDeficient(0, 0)
+            raise InputError("the matrix has no columns")
         n = len(cols[0])
         for i, col in enumerate(cols):
             if len(col) != n:
@@ -528,9 +529,9 @@ def _product(c: Config, mask: int) -> tuple:
     return row, den
 
 
-def subset_polynomial(c: Config, cols) -> HPoly:
-    """Product of the linear forms of the chosen columns, from the table."""
+def subset_polynomial(c: Config, cols) -> tuple:
+    """Product of the linear forms of the chosen columns, from the table,
+    as (degree, integer row, denominator)."""
     mask = set_to_mask(cols)
-    row, den = _product(c, mask)
-    return HPoly.from_coeff_vector(c.n, mask.bit_count(), [Fraction(x, den) for x in row])
+    return (mask.bit_count(), *_product(c, mask))
 

@@ -5,9 +5,17 @@ subspace of the homogeneous component (linalg.canonical: the reduced
 integer echelon sorted by pivot column, each row primitive with a positive
 pivot), coefficients taken over the graded-lex monomial list.  Because the
 bases are canonical, two graded subspaces are equal iff the dataclasses
-compare equal.  Sums, intersections and containment eliminate these rows
-as they are; Fractions are made only by basis_polys(), which divides each
-row by its pivot and so renders exactly the RREF basis.
+compare equal.  Sums and intersections eliminate these rows as they are;
+basis_polys() pairs each row with its pivot, the denominator that makes it
+the RREF basis.
+
+Polynomials in and out of this module are (degree, integer row,
+denominator) tuples, the row over monomials(nvars, degree): the value is
+row / denominator.  The producers are config.subset_polynomial,
+zonotopal.facet_powers and poly.perp_space_gens.  Scaling a row changes
+no span, rank or kernel, so every routine here reads the rows as they
+are and never the denominator; an HPoly is made only by the CLI, to
+render a report.
 
 An Ideal is the one owner of an ideal's graded components.  It builds them
 degree by degree (Macaulay): I_d is spanned by x_i times the pivot rows kept
@@ -17,6 +25,10 @@ from poly's shift table.  Once a component is full every later one
 is too, so nothing is eliminated past the first full degree.  Quotient
 Hilbert functions, direct-sum certificates and ideal comparisons read ranks
 and pivot rows from it; an Ideal lives only for the call that builds it.
+
+An IdealGens holds its generators as distinct tuples in sorted order, each
+divided by the gcd of its row and its denominator, so that equal
+polynomials are equal tuples.
 
 The kernel of an ideal under the apolarity action only depends on the
 generators: g(D) annihilates q for every generator g iff every element of
@@ -31,10 +43,11 @@ the full degree-d component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import DimensionMismatch, InputError, NoStabilization
-from .linalg import _integer_row, _monic, canonical, echelon, integer_nullspace, primitive_integer
-from .poly import HPoly, _shifts, monomials
+from .linalg import canonical, echelon, integer_nullspace
+from .poly import _shifts, monomials
 
 
 def component_dim(nvars: int, d: int) -> int:
@@ -59,13 +72,11 @@ class GradedSubspace:
 
     @classmethod
     def from_spanning(cls, nvars: int, polys) -> "GradedSubspace":
-        """The span of polynomials; their Fraction coefficients are scaled
-        to integer rows here, once."""
+        """The span of (degree, integer row, denominator) polynomials; a
+        denominator scales its row and changes no span, so it is not read."""
         by_degree: dict = {}
-        for p in polys:
-            if p.is_zero:
-                continue
-            by_degree.setdefault(p.degree, []).append(_integer_row(p.coeff_vector()))
+        for d, row, _ in polys:
+            by_degree.setdefault(d, []).append(row)
         return cls.from_components(nvars, by_degree)
 
     @classmethod
@@ -95,12 +106,11 @@ class GradedSubspace:
         return tuple(dims)
 
     def basis_polys(self) -> tuple:
-        """The RREF basis: each canonical row divided by its pivot."""
-        out = []
-        for d, basis in self.comps:
-            for row in basis:
-                out.append(HPoly.from_coeff_vector(self.nvars, d, _monic(row)))
-        return tuple(out)
+        """The RREF basis as (degree, canonical row, its pivot): each row
+        divided by its pivot."""
+        return tuple(
+            (d, row, next(x for x in row if x)) for d, basis in self.comps for row in basis
+        )
 
 
 @dataclass(frozen=True)
@@ -110,13 +120,17 @@ class IdealGens:
 
     @classmethod
     def make(cls, nvars: int, polys) -> "IdealGens":
-        uniq = {}
-        for p in polys:
-            if p.is_zero:
-                continue
-            uniq[(p.degree, p.render())] = p
-        ordered = tuple(uniq[k] for k in sorted(uniq))
-        return cls(nvars, ordered)
+        """Generators as sorted, distinct (degree, integer row, denominator)
+        tuples, each divided by the gcd of its row and denominator so that
+        equal polynomials are equal tuples; zero polynomials are dropped."""
+        uniq = set()
+        for d, row, den in polys:
+            if any(row):
+                g = gcd(den, *row)
+                if g != 1:
+                    row, den = [x // g for x in row], den // g
+                uniq.add((d, tuple(row), den))
+        return cls(nvars, tuple(sorted(uniq)))
 
 
 class Ideal:
@@ -131,9 +145,8 @@ class Ideal:
     def __init__(self, gens: IdealGens):
         self.nvars = gens.nvars
         self._gens: dict = {}  # degree -> integer coefficient rows
-        for g in gens.gens:
-            if not g.is_zero:
-                self._gens.setdefault(g.degree, []).append(primitive_integer(g.coeff_vector()))
+        for d, row, _ in gens.gens:
+            self._gens.setdefault(d, []).append(row)
         self._echelons: list = []  # degree -> [(pivot column, int row), ...]
         self.full_degree = None
 
@@ -152,11 +165,11 @@ class Ideal:
         self._build(d)
         return self._echelons[d]
 
-    def __contains__(self, p: HPoly) -> bool:
-        d = p.degree
-        if p.is_zero or self.is_full(d):
+    def __contains__(self, p: tuple) -> bool:
+        """Membership of a (degree, integer row, denominator) polynomial."""
+        d, row, _ = p
+        if self.is_full(d):
             return True
-        row = primitive_integer(p.coeff_vector())
         return len(echelon([row], component_dim(self.nvars, d), self._echelons[d])) == self.dim(d)
 
     def _build(self, top: int) -> None:
@@ -204,18 +217,14 @@ def _check_dmax(dmax: int) -> None:
 def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
     """Degrees 0..dmax of {q : g(D) q = 0 for every generator g}.
 
-    For a generator g = sum_a c_a t^a of degree e (c scaled to integers),
+    For a generator g = sum_a c_a t^a of degree e (c its integer row),
     the coefficient of t^u in g(D) q is sum_a c_a * (u+a)!/u! * q_(u+a): one
     integer row per target monomial u of degree d - e.  The component is
     the integer nullspace of those rows (everything when there are none).
     """
     _check_dmax(dmax)
     n = gens.nvars
-    scaled = [
-        (g.degree, [(a, c) for a, c in zip(monomials(n, g.degree), primitive_integer(g.coeff_vector())) if c])
-        for g in gens.gens
-        if not g.is_zero
-    ]
+    scaled = [(e, [(a, c) for a, c in zip(monomials(n, e), row) if c]) for e, row, _ in gens.gens]
     comps = []
     for d in range(dmax + 1):
         mons = monomials(n, d)
@@ -299,15 +308,6 @@ def add(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return GradedSubspace(a.nvars, tuple(comps))
 
 
-def contains(a: GradedSubspace, b: GradedSubspace) -> bool:
-    """Every component of b lies inside the matching component of a."""
-    for d, basis_b in b.comps:
-        basis_a = a.component(d)
-        if len(echelon(basis_b, component_dim(a.nvars, d), _pivoted(basis_a))) != len(basis_a):
-            return False
-    return True
-
-
 def direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: int | None = None) -> dict:
     """Degree-by-degree check that p and the ideal sum directly to everything.
 
@@ -351,7 +351,7 @@ def ideals_equal(a: IdealGens, b: IdealGens, dmax: int) -> bool:
     ia, ib = Ideal(a), Ideal(b)
     if any(ia.dim(d) != ib.dim(d) for d in range(dmax + 1)):
         return False
-    return all(g in ia for g in b.gens if g.degree <= dmax)
+    return all(g in ia for g in b.gens if g[0] <= dmax)
 
 
 def ideal_contains(big: IdealGens, small: IdealGens, dmax: int) -> bool:
@@ -361,4 +361,4 @@ def ideal_contains(big: IdealGens, small: IdealGens, dmax: int) -> bool:
     most that degree, so it is enough that those generators lie in big.
     """
     ideal = Ideal(big)
-    return all(g in ideal for g in small.gens if g.degree <= dmax)
+    return all(g in ideal for g in small.gens if g[0] <= dmax)

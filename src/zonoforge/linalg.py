@@ -10,9 +10,10 @@ coprime integers), so two row spaces are equal iff their canonical bases
 are identical tuples; integer_nullspace() gives a kernel in that form.
 
 No Fraction is eliminated: callers scale their rows with `_integer_row`
-(which changes no rank) or build them from ints, and `_monic` turns a
-canonical row back into its Fraction RREF row.  det() alone runs on
-Fractions.  No floats enter anywhere.
+(which changes no rank) or build them from ints.  A canonical row stays
+integer; its RREF row is the row over its pivot, and only the CLI, when
+it renders a polynomial, divides.  det() alone runs on Fractions.  No
+floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -46,17 +47,6 @@ def matrix(rows) -> Matrix:
     if len(widths) > 1:
         raise DimensionMismatch(f"ragged rows of lengths {sorted(widths)}")
     return out
-
-
-class _Ints(dict):
-    """Fraction of each small int, made once; other ints are made on demand."""
-
-    def __missing__(self, k):
-        return Fraction(k)
-
-
-_SMALL = _Ints({k: Fraction(k) for k in range(-16, 17)})
-_ZERO = _SMALL[0]
 
 
 def _integer_row(row) -> list:
@@ -125,15 +115,6 @@ def _eliminate(rows, ncols: int, reduced: bool, pivots=()) -> list:
     return pivots
 
 
-def _monic(row) -> Vector:
-    """An integer pivot row divided by its leading entry: Fractions with a
-    leading 1 (the RREF row of a canonical row)."""
-    p = next(x for x in row if x)
-    if p == 1:
-        return tuple([_SMALL[x] for x in row])
-    return tuple([Fraction(x, p) if x else _ZERO for x in row])
-
-
 def canonical(rows, ncols: int, start=()) -> tuple:
     """The canonical integer basis of the row space of integer rows: the
     reduced integer echelon sorted by pivot column, as tuples of ints.
@@ -200,13 +181,3 @@ def det(a: Matrix) -> Fraction:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return d
 
-
-def primitive_integer(v) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
-    ints = _integer_row(v)
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)

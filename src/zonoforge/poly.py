@@ -1,9 +1,16 @@
 """Homogeneous polynomials in n variables with exact rational coefficients.
 
-Representation: a polynomial is a dict mapping exponent tuples (one entry per
-variable) to nonzero Fraction coefficients, wrapped in HPoly together with the
-variable count.  All monomials in one HPoly share the same total degree; the
-zero polynomial is the empty dict and reports degree 0.
+Below the CLI a polynomial is a (degree, integer row, denominator) tuple:
+the row lists integer coefficients over monomials(n, degree) and the
+polynomial is row / denominator.  `perp_space_gens` here,
+config.subset_polynomial and zonotopal.facet_powers produce them, and
+graded reads them.
+
+HPoly is the render type: a dict mapping exponent tuples (one entry per
+variable) to nonzero Fraction coefficients, together with the variable
+count.  All monomials in one HPoly share the same total degree; the zero
+polynomial is the empty dict and reports degree 0.  Only the CLI makes
+one, to render a report; its arithmetic is the tests' independent oracle.
 
 The fixed monomial order everywhere in the package is graded lexicographic:
 degree first, then exponent tuples compared lexicographically in descending
@@ -11,15 +18,10 @@ order, so for three variables degree two reads t1^2, t1*t2, t1*t3, t2^2,
 t2*t3, t3^2.  monomials(n, d) returns exactly that sequence and every
 coefficient vector, matrix column and rendered string follows it.
 
-The pairing is the apolarity pairing <p, q> = (p(D)q)(0): on monomials
-<t^a, t^b> = a! when a == b and 0 otherwise.
-
-Hot products run on integer coefficient rows instead of HPoly dicts:
-`_shifts` maps each monomial to its index after multiplication by a
-variable, and `_times_linear` multiplies a row by a linear form with it.
-The subset-product table in config, graded.Ideal and perp_space_gens all
-read it, so no library code multiplies HPolys; the HPoly arithmetic stays
-as their independent oracle in the tests.
+Products run on integer coefficient rows: `_shifts` maps each monomial to
+its index after multiplication by a variable, and `_times_linear`
+multiplies a row by a linear form with it.  The subset-product table in
+config, graded.Ideal and perp_space_gens all read it.
 """
 
 from __future__ import annotations
@@ -226,23 +228,12 @@ class HPoly:
         return text
 
 
-def pair(p: HPoly, q: HPoly) -> Fraction:
-    """Apolarity pairing (p(D)q)(0); zero across different degrees."""
-    if p.degree != q.degree:
-        return Fraction(0)
-    total = Fraction(0)
-    for exp, c in p.coeffs.items():
-        qc = q.coeffs.get(exp)
-        if qc is not None:
-            total += c * qc * multi_factorial(exp)
-    return total
-
-
-def perp_space_gens(nvars: int, span_rows, degree: int) -> list[HPoly]:
+def perp_space_gens(nvars: int, span_rows, degree: int) -> list:
     """Spanning set of the degree-d polynomials constant along the span of
     canonical integer rows: all degree-d monomials in the linear forms of the
     RREF basis of its orthogonal complement, each built as a product of the
-    integer kernel rows by `_times_linear` and divided by their pivots."""
+    integer kernel rows by `_times_linear` and divided by their pivots, as
+    (degree, integer row, denominator)."""
     kern = integer_nullspace(span_rows, nvars)
     pivots = [next(x for x in v if x) for v in kern]
     gens = []
@@ -253,5 +244,5 @@ def perp_space_gens(nvars: int, span_rows, degree: int) -> list[HPoly]:
                 row = _times_linear(row, v, d)
                 d += 1
             den *= p**e
-        gens.append(HPoly.from_coeff_vector(nvars, degree, [Fraction(x, den) for x in row]))
+        gens.append((degree, tuple(row), den))
     return gens

@@ -86,11 +86,11 @@ def _extended_offsets(c: Config):
     return lam + lam_b0
 
 
-def _dual_row(bundle, points, label: str, arr) -> dict:
+def _dual_row(kernel_space, points, label: str, arr) -> dict:
     return _space_row(
         label,
         least_space(points),
-        d_space(bundle),
+        kernel_space,
         n_points=len(points),
         offsets=_offsets_str(arr),
     )
@@ -106,8 +106,8 @@ def _direct_sum_row(bundle, dmax=None) -> dict:
     )
 
 
-def _gram_row(bundle) -> dict:
-    cert = dual_pairing_certificate(bundle)
+def _gram_row(bundle, kernel_space) -> dict:
+    cert = dual_pairing_certificate(bundle, kernel_space)
     return _row(
         "pairing between the primal basis and the kernel basis is invertible",
         cert["passed"],
@@ -165,7 +165,7 @@ def _verify_exzono(c: Config, given, seed: int, dmax) -> list:
     arr = make_arrangement(c, c.lam, seed)
     pts = vertex_set(arr, bases(c))
     rows.append(
-        _dual_row(b, pts, "least space of the vertices equals the cover-ideal kernel", arr)
+        _dual_row(d_space(b), pts, "least space of the vertices equals the cover-ideal kernel", arr)
     )
     rows.append(_direct_sum_row(b, dmax))
     return rows
@@ -251,7 +251,7 @@ def _verify_plus(c: Config, given, seed: int, dmax) -> list:
 
 def _verify_basis(c: Config, given, seed: int, dmax) -> list:
     b = central(c)
-    degrees_ok = all(q.degree == valuation(c, cols) for cols, q in b.q_basis)
+    degrees_ok = all(q[0] == valuation(c, cols) for cols, q in b.q_basis)
     rng = random.Random(seed)
     perm = list(range(c.ncols))
     rng.shuffle(perm)
@@ -297,7 +297,10 @@ def _verify_explus(c: Config, given, seed: int, dmax) -> list:
     pts = vertex_set(arr, ext_bases)
     rows.append(
         _dual_row(
-            b, pts, "least space of the extended vertices equals the cover-ideal kernel", arr
+            d_space(b),
+            pts,
+            "least space of the extended vertices equals the cover-ideal kernel",
+            arr,
         )
     )
     rng = random.Random(seed)
@@ -330,13 +333,14 @@ def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
     ]
     arr = make_arrangement(c.extended(), _extended_offsets(c), seed)
     pts = vertex_set(arr, [extend_basis(c, s) for s in fam])
+    d = d_space(b)
     rows.append(
         _dual_row(
-            b, pts, "least space of the family vertices equals the cover-ideal kernel", arr
+            d, pts, "least space of the family vertices equals the cover-ideal kernel", arr
         )
     )
     rows.append(_direct_sum_row(b, dmax))
-    rows.append(_gram_row(b))
+    rows.append(_gram_row(b, d))
     return rows
 
 
@@ -403,12 +407,13 @@ def _verify_t34(c: Config, i_set, seed: int, dmax) -> list:
     fam_bases = b.b_minus if b.b_minus is not None else bases(c)
     arr = make_arrangement(c, c.lam, seed)
     pts = vertex_set(arr, fam_bases)
+    d = d_space(b)
     return [
         _dual_row(
-            b, pts, "least space of the restricted vertices equals the cover-ideal kernel", arr
+            d, pts, "least space of the restricted vertices equals the cover-ideal kernel", arr
         ),
         _direct_sum_row(b, dmax),
-        _gram_row(b),
+        _gram_row(b, d),
     ]
 
 

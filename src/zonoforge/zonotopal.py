@@ -12,16 +12,18 @@ Every constructor computes the Hilbert function three ways -- valuation
 histogram, power-ideal quotient, primal-space dimensions -- and raises
 ConsistencyError if they disagree: the artifact is its own theorem checker.
 
-Every spanning set here (the central, full and family-short spaces, the
-passive-set spans and the r37 patch) is a span of products p_Y read as
-integer rows from the configuration's subset-product table (`_span`), so
-each product is built once per configuration and none becomes an HPoly;
-only a product that a bundle or an IdealGens holds is made into one, by
-`subset_polynomial` (the semi-external cover generators may use b0
-vectors, so they come from the table of `Config.extended()`, X u B0).
-Power ideals do not read the table: `facet_powers` writes each (v . t)^e
-down by the multinomial theorem, so the quotient route shares no product
-code with the space route it checks.
+Every polynomial here is a (degree, integer row, denominator) tuple (see
+poly); no HPoly is made.  Every spanning set (the central, full and
+family-short spaces, the passive-set spans and the r37 patch) is a span
+of products p_Y read as integer rows from the configuration's
+subset-product table (`_span`), so each product is built once per
+configuration.  The q_basis and cover generators are the same table
+entries, through `subset_polynomial` (the semi-external cover generators
+may use b0 vectors, so they come from the table of `Config.extended()`,
+X u B0).  Power ideals do not read the table: `facet_powers` writes each
+(v . t)^e down by the multinomial theorem, so the quotient route shares
+no product code with the space route it checks.  The Gram check of
+`dual_pairing_certificate` pairs integer rows directly.
 
 Shared routes, one owner each: `facet_powers` builds every power ideal's
 facet-normal powers; `deletion_intersection` intersects the central spaces
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import factorial, prod
+from operator import mul
 
 from .config import (
     Config,
@@ -65,8 +68,8 @@ from .config import (
 )
 from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, MissingB0, NotIndependent
 from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
-from .linalg import _integer_row, canonical, echelon
-from .poly import HPoly, monomials, multi_factorial, pair, perp_space_gens
+from .linalg import canonical, echelon
+from .poly import monomials, multi_factorial, perp_space_gens
 from .config import normal_power_condition, span_le
 
 
@@ -191,8 +194,9 @@ def full_span_space(c: Config) -> GradedSubspace:
 
 
 def facet_powers(c: Config, exponent) -> list:
-    """Each facet normal raised to exponent(facet); a facet whose exponent
-    is None contributes nothing.  Every power ideal is built from these.
+    """Each facet normal raised to exponent(facet), as (degree, integer row,
+    1); a facet whose exponent is None contributes nothing.  Every power
+    ideal is built from these.
 
     (v . t)^e is written down by the multinomial theorem, coefficient
     e!/a! * v^a at t^a, and shares no code with the product table: the
@@ -201,11 +205,11 @@ def facet_powers(c: Config, exponent) -> list:
     for f in facets(c):
         e = exponent(f)
         if e is not None:
-            coeffs = {
-                a: factorial(e) // multi_factorial(a) * prod(map(pow, f.normal, a))
+            row = tuple([
+                factorial(e) // multi_factorial(a) * prod(map(pow, f.normal, a))
                 for a in monomials(c.n, e)
-            }
-            out.append(HPoly(c.n, coeffs))
+            ])
+            out.append((e, row, 1))
     return out
 
 
@@ -450,15 +454,27 @@ def d_space(bundle: Bundle, extra: int = 1) -> GradedSubspace:
     return kernel(bundle.j_ideal, bundle.p_space.top_degree() + extra)
 
 
-def dual_pairing_certificate(bundle: Bundle) -> dict:
-    """Gram-matrix invertibility between the primal basis and the kernel
-    basis, each Gram row scaled to integers."""
+def dual_pairing_certificate(bundle: Bundle, kernel_space: GradedSubspace) -> dict:
+    """Gram-matrix invertibility between the primal basis (the q_basis
+    products, else the canonical p_space rows) and the canonical basis of
+    kernel_space, the cover-ideal kernel that `d_space` computes.
+
+    The entry for rows p and q is the apolarity pairing sum_m p_m q_m m!,
+    zero between different degrees, on the integer rows as they are:
+    scaling a row or a column of the matrix changes no rank, so the
+    denominators are not read."""
     if bundle.q_basis is not None:
         p_polys = [q for _, q in bundle.q_basis]
     else:
         p_polys = list(bundle.p_space.basis_polys())
-    d_polys = list(d_space(bundle).basis_polys())
-    gram = [_integer_row([pair(p, q) for q in d_polys]) for p in p_polys]
+    n = bundle.config.n
+    d_polys = [
+        (d, [x * multi_factorial(m) for x, m in zip(row, monomials(n, d))])
+        for d, row, _ in kernel_space.basis_polys()
+    ]
+    gram = [
+        [sum(map(mul, p, q)) if e == d else 0 for d, q in d_polys] for e, p, _ in p_polys
+    ]
     square = len(p_polys) == len(d_polys)
     # both spaces zero: an empty echelon, vacuously a perfect pairing
     invertible = square and len(echelon(gram, len(d_polys))) == len(p_polys)

@@ -6,7 +6,10 @@ component was stored as Fraction RREF rows.  Their row reductions are bound
 to the dense Fraction Gauss-Jordan loop of test_linalg, so these subspaces
 share no elimination code with the integer ones they check.  The
 certificate still reads the integer Ideal, which test_graded checks against
-its all-multiples oracle.
+its all-multiples oracle.  The kernel reads the library's (degree, integer
+row, denominator) generators through `as_hpoly`.  `integer_contains`
+applies `contains` to integer subspaces through `fraction_space`: the
+library has no containment test of its own.
 
 `assert_canonical` states the form every integer component must have.
 """
@@ -15,15 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
-from hpoly_oracle import diff_apply
+from hpoly_oracle import as_hpoly, diff_apply
 from test_linalg import reference_nullspace as nullspace
 from test_linalg import reference_row_basis as row_basis
+from test_linalg import primitive_integer
 from test_linalg import reference_rref as rref
 from zonoforge.errors import DimensionMismatch
 from zonoforge.graded import Ideal, IdealGens, component_dim
-from zonoforge.linalg import echelon, primitive_integer
+from zonoforge.linalg import echelon
 from zonoforge.poly import HPoly, monomials
 
 
@@ -92,7 +97,7 @@ def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
     for d in range(dmax + 1):
         mons = monomials(gens.nvars, d)
         stacked = []
-        for g in gens.gens:
+        for g in map(partial(as_hpoly, gens.nvars), gens.gens):
             if g.degree > d:
                 continue
             target = monomials(gens.nvars, d - g.degree)
@@ -151,6 +156,23 @@ def contains(a: GradedSubspace, b: GradedSubspace) -> bool:
         if len(row_basis(basis_a + basis_b)) != len(basis_a):
             return False
     return True
+
+
+def fraction_space(space) -> GradedSubspace:
+    """An integer GradedSubspace as an oracle one: each canonical row divided
+    by its pivot, its Fraction RREF row."""
+    return GradedSubspace(
+        space.nvars,
+        tuple(
+            (d, tuple(tuple(Fraction(x, next(v for v in row if v)) for x in row) for row in basis))
+            for d, basis in space.comps
+        ),
+    )
+
+
+def integer_contains(a, b) -> bool:
+    """contains on two integer GradedSubspaces, read as Fraction rows."""
+    return contains(fraction_space(a), fraction_space(b))
 
 
 def direct_sum_certificate(p: GradedSubspace, gens: IdealGens, dmax: int | None = None) -> dict:

@@ -9,17 +9,61 @@ extended configuration's rank cache and integer kernel rows replaced their
 `Fraction` ranks, `Fraction` kernel and repeated `HPoly` multiplication.
 Their kernels come from the dense Fraction Gauss-Jordan loop of
 test_linalg, so they share no elimination code with the library.
+
+`pair` is the former `zonoforge.poly.pair`, the `Fraction` apolarity
+pairing that the Gram check used before it paired integer rows, and
+`reference_ideal_gens` is `IdealGens.make` as it was while it keyed
+generators by their rendered text.  `as_row` and `as_hpoly` convert
+between HPoly and the library's (degree, integer row, denominator) format.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from test_linalg import reference_nullspace, reference_rank
 from zonoforge.config import Config, is_independent
 from zonoforge.errors import DimensionMismatch, MissingB0, NotIndependent
 from zonoforge.linalg import frac, matrix
-from zonoforge.poly import HPoly, monomials
+from zonoforge.poly import HPoly, monomials, multi_factorial
+
+
+def as_row(p: HPoly) -> tuple:
+    """p as (degree, integer row, denominator): its coefficient vector
+    times the lcm of the denominators, over that lcm."""
+    vec = p.coeff_vector()
+    den = lcm(*[x.denominator for x in vec])
+    return p.degree, tuple(x.numerator * (den // x.denominator) for x in vec), den
+
+
+def as_hpoly(nvars: int, poly) -> HPoly:
+    """The HPoly of a (degree, integer row, denominator) tuple."""
+    d, row, den = poly
+    return HPoly.from_coeff_vector(nvars, d, [Fraction(x, den) for x in row])
+
+
+def pair(p: HPoly, q: HPoly) -> Fraction:
+    """Apolarity pairing (p(D)q)(0); zero across different degrees."""
+    if p.degree != q.degree:
+        return Fraction(0)
+    total = Fraction(0)
+    for exp, c in p.coeffs.items():
+        qc = q.coeffs.get(exp)
+        if qc is not None:
+            total += c * qc * multi_factorial(exp)
+    return total
+
+
+def reference_ideal_gens(polys) -> tuple:
+    """Distinct nonzero HPolys in (degree, rendered text) order, keyed by
+    that text."""
+    uniq = {}
+    for p in polys:
+        if p.is_zero:
+            continue
+        uniq[(p.degree, p.render())] = p
+    return tuple(uniq[k] for k in sorted(uniq))
 
 
 def linform_product(nvars: int, vectors) -> HPoly:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpoly_oracle import evaluate
+from hpoly_oracle import as_hpoly, as_row, evaluate
 from test_linalg import reference_rank, reference_rref as rref
 from zonoforge.config import Config, bases, independents, make_config
 from zonoforge.errors import (
@@ -196,7 +196,7 @@ def test_restriction_certificate_random_points():
 def reference_restriction_invertible(points, space: GradedSubspace) -> bool:
     """The RREF basis evaluated at the points by HPoly dict arithmetic,
     ranked by the dense Fraction loop."""
-    polys = space.basis_polys()
+    polys = [as_hpoly(space.nvars, q) for q in space.basis_polys()]
     ev = [[evaluate(q, p) for q in polys] for p in points]
     return len(polys) == len(points) and reference_rank(ev) == len(points)
 
@@ -289,7 +289,7 @@ def reference_least_space(points, extra: int = 0) -> GradedSubspace:
         d = block_of[piv]
         lo, hi = offsets[d]
         leasts.append(HPoly.from_coeff_vector(nvars, d, row[lo:hi]))
-    space = GradedSubspace.from_spanning(nvars, leasts)
+    space = GradedSubspace.from_spanning(nvars, map(as_row, leasts))
     if space.dim() != len(pts):
         raise ConsistencyError(
             f"least parts of {len(pts)} points span only {space.dim()} dimensions"

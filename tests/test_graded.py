@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graded_oracle import assert_canonical
-from test_linalg import reference_nullspace as nullspace, reference_rank
+from graded_oracle import assert_canonical, integer_contains
+from hpoly_oracle import as_hpoly, as_row
+from test_linalg import monic, reference_nullspace as nullspace, reference_rank
 from zonoforge import graded
 from zonoforge.cli import parse_document
 from zonoforge.config import Config, SemiExternalFamily, ensure_family, semiexternal_close
@@ -23,7 +24,6 @@ from zonoforge.graded import (
     IdealGens,
     add,
     component_dim,
-    contains,
     direct_sum_certificate,
     hilbert_quotient,
     ideal_contains,
@@ -31,7 +31,7 @@ from zonoforge.graded import (
     intersect,
     kernel,
 )
-from zonoforge.linalg import _integer_row, _monic, canonical
+from zonoforge.linalg import _integer_row, canonical
 from zonoforge.poly import HPoly, monomials
 from zonoforge.zonotopal import bundle_for
 
@@ -39,7 +39,7 @@ INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def gens_of(nvars, exps):
-    return IdealGens.make(nvars, [HPoly.monomial(nvars, e) for e in exps])
+    return IdealGens.make(nvars, [as_row(HPoly.monomial(nvars, e)) for e in exps])
 
 
 def test_component_dim():
@@ -51,8 +51,8 @@ def test_component_dim():
 def test_from_spanning_is_canonical():
     t1 = HPoly.linear_form((1, 0))
     t2 = HPoly.linear_form((0, 1))
-    a = GradedSubspace.from_spanning(2, [t1, t2])
-    b = GradedSubspace.from_spanning(2, [t1 + t2, t1 - t2, t1])
+    a = GradedSubspace.from_spanning(2, map(as_row, [t1, t2]))
+    b = GradedSubspace.from_spanning(2, map(as_row, [t1 + t2, t1 - t2, t1]))
     assert a == b
     assert a.hilbert() == (0, 2)
     assert a.dim() == 2
@@ -100,7 +100,7 @@ def random_space(rng, nvars, degree, count):
         HPoly(nvars, {m: rng.randint(-2, 2) for m in monomials(nvars, degree)})
         for _ in range(count)
     ]
-    return GradedSubspace.from_spanning(nvars, polys)
+    return GradedSubspace.from_spanning(nvars, map(as_row, polys))
 
 
 def test_lattice_identities_random():
@@ -112,8 +112,8 @@ def test_lattice_identities_random():
         b = random_space(rng, nvars, d, rng.randint(1, 3))
         s = add(a, b)
         m = intersect(a, b)
-        assert contains(s, a) and contains(s, b)
-        assert contains(a, m) and contains(b, m)
+        assert integer_contains(s, a) and integer_contains(s, b)
+        assert integer_contains(a, m) and integer_contains(b, m)
         assert intersect(a, s) == a
         assert a.dim() + b.dim() == s.dim() + m.dim()
 
@@ -124,7 +124,7 @@ def test_direct_sum_certificate_pass_and_fail():
     assert cert["passed"]
     assert cert["dmax"] == 3
     assert all(line["passed"] for line in cert["degrees"])
-    wrong = GradedSubspace.from_spanning(2, [HPoly.monomial(2, (2, 0))])
+    wrong = GradedSubspace.from_spanning(2, [as_row(HPoly.monomial(2, (2, 0)))])
     assert not direct_sum_certificate(wrong, g)["passed"]
 
 
@@ -141,7 +141,7 @@ def test_negative_dmax_is_refused():
 def test_ideal_equality_and_containment():
     a = gens_of(2, [(1, 0)])
     b = IdealGens.make(
-        2, [HPoly.monomial(2, (1, 0)), HPoly.monomial(2, (2, 0))]
+        2, [as_row(HPoly.monomial(2, (1, 0))), as_row(HPoly.monomial(2, (2, 0)))]
     )
     assert ideals_equal(a, b, 5)
     assert ideal_contains(a, gens_of(2, [(2, 0)]), 5)
@@ -151,12 +151,12 @@ def test_ideal_equality_and_containment():
 
 def test_contains_is_degreewise():
     big = GradedSubspace.from_spanning(
-        2, [HPoly.monomial(2, (1, 0)), HPoly.monomial(2, (0, 1))]
+        2, [as_row(HPoly.monomial(2, (1, 0))), as_row(HPoly.monomial(2, (0, 1)))]
     )
-    small = GradedSubspace.from_spanning(2, [HPoly.monomial(2, (2, 0))])
+    small = GradedSubspace.from_spanning(2, [as_row(HPoly.monomial(2, (2, 0)))])
     # degree 2 of big is empty, so the degree-2 line cannot sit inside it
-    assert not contains(big, small)
-    assert contains(big, GradedSubspace.zero(2))
+    assert not integer_contains(big, small)
+    assert integer_contains(big, GradedSubspace.zero(2))
 
 
 # -- intersection against the complement-of-sum-of-complements route -----------
@@ -233,7 +233,10 @@ def _space_pair(rng, nvars: int, relations):
         a, b = _component_pair(rng, nvars, d, relation)
         pa += a
         pb += b
-    return GradedSubspace.from_spanning(nvars, pa), GradedSubspace.from_spanning(nvars, pb)
+    return (
+        GradedSubspace.from_spanning(nvars, map(as_row, pa)),
+        GradedSubspace.from_spanning(nvars, map(as_row, pb)),
+    )
 
 
 def _assert_intersections_match(a, b):
@@ -293,13 +296,14 @@ def row_basis(rows) -> tuple:
     elimination: the all-multiples oracles below are independent of Ideal
     by construction, not by their row reduction."""
     rows = [_integer_row(r) for r in rows]
-    return tuple(_monic(r) for r in canonical(rows, len(rows[0]))) if rows else ()
+    return monic(canonical(rows, len(rows[0]))) if rows else ()
 
 
 def reference_ideal_component(gens: IdealGens, d: int) -> tuple:
     """Canonical row basis of the ideal's degree-d component."""
     rows = []
     for g in gens.gens:
+        g = as_hpoly(gens.nvars, g)
         k = d - g.degree
         if k < 0:
             continue
@@ -383,7 +387,7 @@ def _random_gens(rng, nvars: int) -> IdealGens:
         e = rng.randint(1, 2)
         polys += [HPoly.monomial(nvars, m) for m in monomials(nvars, e)]
     rng.shuffle(polys)
-    return IdealGens(nvars, tuple(polys))
+    return IdealGens(nvars, tuple(map(as_row, polys)))
 
 
 def _unit_rows(size: int) -> tuple:
@@ -393,7 +397,7 @@ def _unit_rows(size: int) -> tuple:
 def _nonzero(gens: IdealGens) -> IdealGens:
     """The all-multiples route needs nonzero generators (IdealGens.make drops
     zeros; a zero one would give a row of the wrong length)."""
-    return IdealGens(gens.nvars, tuple(g for g in gens.gens if not g.is_zero))
+    return IdealGens(gens.nvars, tuple(g for g in gens.gens if any(g[1])))
 
 
 def _assert_ideal_matches_oracle(gens: IdealGens, dmax: int):
@@ -444,7 +448,10 @@ def _related_gens(rng, a: IdealGens) -> IdealGens:
     if relation == "random" or not a.gens:
         return _random_gens(rng, nvars)
     multiples = [
-        (HPoly.monomial(nvars, rng.choice(monomials(nvars, rng.randint(0, 1)))) * g).scale(rng.randint(1, 3))
+        as_row(
+            (HPoly.monomial(nvars, rng.choice(monomials(nvars, rng.randint(0, 1)))) * as_hpoly(nvars, g))
+            .scale(rng.randint(1, 3))
+        )
         for g in a.gens
         if rng.random() < 0.5
     ]
@@ -452,7 +459,7 @@ def _related_gens(rng, a: IdealGens) -> IdealGens:
         return IdealGens(nvars, a.gens[::-1] + tuple(multiples))
     if relation == "inside":
         return IdealGens(nvars, tuple(multiples) + a.gens[: rng.randint(0, len(a.gens))])
-    return IdealGens(nvars, a.gens + (_random_poly(rng, nvars, rng.randint(1, 3)),))
+    return IdealGens(nvars, a.gens + (as_row(_random_poly(rng, nvars, rng.randint(1, 3))),))
 
 
 def _assert_comparisons_match(a: IdealGens, b: IdealGens, dmax: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from zonoforge.linalg import (
     frac,
     integer_nullspace,
     matrix,
-    primitive_integer,
 )
 
 
@@ -91,6 +90,19 @@ def test_det_small_cases():
     assert det(matrix([[1, 2], [3, 4]])) == -2
     assert det(matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])) == 1
     assert det(matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+
+
+def primitive_integer(v) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to coprime integers, first nonzero
+    positive: the former `linalg.primitive_integer`, kept verbatim for the
+    tests that normalize Fraction kernel vectors."""
+    ints = _integer_row(v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def test_primitive_integer_normalization():

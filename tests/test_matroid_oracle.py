@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import reference_nullspace as nullspace, reference_rank
+from test_linalg import primitive_integer, reference_nullspace as nullspace, reference_rank
 from zonoforge import config
 from zonoforge.config import (
     Config,
@@ -38,7 +38,7 @@ from zonoforge.config import (
     span_le,
 )
 from zonoforge.errors import ConsistencyError, NotIndependent
-from zonoforge.linalg import frac, primitive_integer
+from zonoforge.linalg import frac
 
 
 # -- the earlier routes, verbatim ---------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import reference_nullspace as nullspace, reference_rank
+from test_linalg import primitive_integer, reference_nullspace as nullspace, reference_rank
 from zonoforge import config
 from zonoforge.config import (
     Config,
@@ -39,7 +39,6 @@ from zonoforge.config import (
 )
 from zonoforge.errors import RankDeficient
 from zonoforge.graded import intersect
-from zonoforge.linalg import primitive_integer
 from zonoforge.zonotopal import _augment, _delete, central_space, deletion_intersection
 
 

@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpoly_oracle import (
+    as_hpoly,
+    as_row,
     linform_product,
     reference_extend_basis,
     reference_perp_space_gens,
@@ -81,7 +83,7 @@ def reference_central_space(c: Config) -> GradedSubspace:
         y = frozenset(i for i in range(c.ncols) if mask >> i & 1)
         if rank_of(c, everything - y) == c.n:
             polys.append(reference_subset_polynomial(c, y))
-    return GradedSubspace.from_spanning(c.n, polys)
+    return GradedSubspace.from_spanning(c.n, map(as_row, polys))
 
 
 def reference_full_span_space(c: Config) -> GradedSubspace:
@@ -89,7 +91,7 @@ def reference_full_span_space(c: Config) -> GradedSubspace:
     for mask in range(1 << c.ncols):
         y = frozenset(i for i in range(c.ncols) if mask >> i & 1)
         polys.append(reference_subset_polynomial(c, y))
-    return GradedSubspace.from_spanning(c.n, polys)
+    return GradedSubspace.from_spanning(c.n, map(as_row, polys))
 
 
 def reference_family_short_space(c: Config, fam: SemiExternalFamily) -> GradedSubspace:
@@ -98,7 +100,7 @@ def reference_family_short_space(c: Config, fam: SemiExternalFamily) -> GradedSu
         free = sorted(frozenset(range(c.ncols)) - i_set)
         for mask in range(1 << len(free)):
             shorts.add(frozenset(free[k] for k in range(len(free)) if mask >> k & 1))
-    return GradedSubspace.from_spanning(c.n, [reference_subset_polynomial(c, y) for y in shorts])
+    return GradedSubspace.from_spanning(c.n, [as_row(reference_subset_polynomial(c, y)) for y in shorts])
 
 
 # -- configurations -------------------------------------------------------------
@@ -157,13 +159,13 @@ def _assert_table_matches_oracle(c: Config, rng: random.Random) -> None:
         row, den = _product(c, mask)
         assert all(type(x) is int for x in row) and type(den) is int and den > 0
         assert HPoly.from_coeff_vector(c.n, len(cols), [Fraction(x, den) for x in row]) == want
-        assert subset_polynomial(c, cols) == want
+        assert subset_polynomial(c, cols) == (len(cols), row, den)
 
 
 def test_empty_mask_is_one():
     c = Config(((Fraction(1, 2), 3), (0, -1)))
     assert _product(c, 0) == ((1,), 1)
-    assert subset_polynomial(c, frozenset()) == HPoly.constant(2)
+    assert as_hpoly(2, subset_polynomial(c, frozenset())) == HPoly.constant(2)
     assert c._products == {}  # the empty product is never stored
 
 
@@ -194,7 +196,7 @@ def test_table_keeps_denominators_and_signs():
     # (t1/2 - t2/3)(-t1 + 3/4 t2) with a parallel and a repeated column
     c = Config(((Fraction(1, 2), Fraction(-1, 3)), (-1, Fraction(3, 4)), (Fraction(3, 2), -1), (-1, Fraction(3, 4))))
     _assert_table_matches_oracle(c, random.Random(0))
-    assert subset_polynomial(c, {0, 1}).render() == "-1/2*t1^2 + 17/24*t1*t2 - 1/4*t2^2"
+    assert as_hpoly(2, subset_polynomial(c, {0, 1})).render() == "-1/2*t1^2 + 17/24*t1*t2 - 1/4*t2^2"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -232,13 +234,14 @@ def _assert_extended_matches_oracle(c: Config) -> None:
     for mask in range(1 << ext.ncols):
         y = _mask_to_set(mask)
         want = linform_product(c.n, [vectors[i] for i in sorted(y)])
-        assert subset_polynomial(ext, y) == want
+        assert as_hpoly(c.n, subset_polynomial(ext, y)) == want
     for s in independents(c):
         assert extend_basis(c, s) == reference_extend_basis(c, s)
         span = canonical([c._ints[i] for i in sorted(s)], c.n)
         old_span = reference_row_basis(c.subset_rows(s))
         for d in range(4):
-            assert perp_space_gens(c.n, span, d) == reference_perp_space_gens(c.n, old_span, d)
+            got = [as_hpoly(c.n, g) for g in perp_space_gens(c.n, span, d)]
+            assert got == reference_perp_space_gens(c.n, old_span, d)
 
 
 def test_extended_routes_match_oracle_on_documents():
@@ -286,7 +289,9 @@ def _assert_facet_powers_match_oracle(c: Config) -> None:
             for f in facets(c)
             if exponent(f) is not None
         ]
-        assert facet_powers(c, exponent) == want
+        got = facet_powers(c, exponent)
+        assert all(den == 1 and all(type(x) is int for x in row) for _, row, den in got)
+        assert [as_hpoly(c.n, g) for g in got] == want
 
 
 def test_facet_powers_match_repeated_multiplication():
@@ -294,7 +299,7 @@ def test_facet_powers_match_repeated_multiplication():
     # zero entries; exponent 0 gives the constant 1
     for c in fixed_configs():
         _assert_facet_powers_match_oracle(c)
-    assert facet_powers(Config(K4), lambda f: 0) == [HPoly.constant(3)] * len(facets(Config(K4)))
+    assert facet_powers(Config(K4), lambda f: 0) == [(0, (1,), 1)] * len(facets(Config(K4)))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
