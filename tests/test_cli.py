@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from zonoforge import __version__, config, linalg, zonotopal
-from zonoforge.cli import USAGE, _parse_argv, main, parse_document
+from zonoforge.cli import USAGE, _family, _parse_argv, main, parse_document
 from zonoforge.errors import InputError
-from zonoforge.verify import THEOREMS
+from zonoforge.poly import HPoly
+from zonoforge.verify import THEOREMS, run_theorem
+from zonoforge.zonotopal import bundle_for
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -306,6 +308,36 @@ def test_every_elimination_runs_on_int_rows(tmp_path, monkeypatch):
         linalg.echelon([[linalg.frac("1/2"), 1]], 2)
 
 
+def test_no_hpoly_below_the_cli(tmp_path, monkeypatch):
+    """Below the CLI a polynomial is a (degree, integer row, denominator)
+    tuple: every theorem battery and every bundle kind, on every document,
+    makes no HPoly.  The CLI makes them, to render a report."""
+    made = []
+    real = HPoly.__init__
+
+    def counting(self, nvars, coeffs):
+        made.append(nvars)
+        real(self, nvars, coeffs)
+
+    # cached bundles would hide the work that built them
+    for mod in (config, zonotopal):
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    monkeypatch.setattr(HPoly, "__init__", counting)
+    for doc in sorted(INPUTS.glob("*.json")):
+        c, meta = parse_document(json.loads(doc.read_text(encoding="utf-8")))
+        fam, i_set = _family(c, meta), frozenset(meta["i"])
+        for theorem in THEOREMS:
+            assert run_theorem(theorem, c, fam=fam, i_set=i_set, seed=meta["seed"])["passed"]
+        for kind in ("central", "external", "semi_external", "semi_internal"):
+            bundle_for(c, kind, fam, i_set)
+    assert made == []
+    argv = ["space", "--input", str(INPUTS / "triangle.json"), "--kind", "central"]
+    assert main(argv + ["--output", str(tmp_path / "report.json")]) == 0
+    assert made
+
+
 def test_reports_parse_and_carry_the_envelope():
     for golden_name, _ in GOLDEN_RUNS:
         doc = json.loads((GOLDEN / golden_name).read_text(encoding="utf-8"))
@@ -407,6 +439,20 @@ def test_exit_2_on_malformed_documents(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"matrix": [[]]}, "matrix"),
+        ({"matrix": [[], []]}, "matrix"),
+        ({"matrix": [[1, 0], [0, 1]], "b0": [[], []]}, "b0"),
+    ],
+)
+def test_exit_2_on_a_matrix_without_columns(tmp_path, capsys, doc, field):
+    # not "configuration has rank 0, expected full rank 0"
+    assert main(["matroid", "--input", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", f"input error: field {field}: the matrix has no columns\n")
 
 
 def test_exit_2_on_unreadable_or_invalid_files(tmp_path, capsys):

@@ -52,6 +52,14 @@ def test_rank_deficient_rejected():
         make_config([[1, 2], [2, 4]])
 
 
+def test_a_matrix_without_columns_is_rejected_as_such():
+    # not as a rank deficiency "rank 0, expected full rank 0"
+    for build in (lambda: make_config([]), lambda: make_config([[]]), lambda: Config(())):
+        with pytest.raises(InputError, match="^the matrix has no columns$") as info:
+            build()
+        assert not isinstance(info.value, RankDeficient)
+
+
 def test_bad_b0_rejected():
     with pytest.raises(BadB0):
         make_config([[1, 0], [0, 1]], b0_rows=[[1, 1], [1, 1]])

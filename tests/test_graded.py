@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graded_oracle import assert_canonical, integer_contains
-from hpoly_oracle import as_hpoly, as_row
+from hpoly_oracle import as_hpoly, as_row, reference_ideal_gens
 from test_linalg import monic, reference_nullspace as nullspace, reference_rank
 from zonoforge import graded
-from zonoforge.cli import parse_document
+from zonoforge.cli import _render_ideal, parse_document
 from zonoforge.config import Config, SemiExternalFamily, ensure_family, semiexternal_close
 from zonoforge.errors import DimensionMismatch, InputError, NoStabilization
 from zonoforge.graded import (
@@ -429,6 +430,64 @@ def test_ideal_matches_all_multiples_oracle(seed):
 @given(nvars=st.integers(1, 4), rng=st.randoms(use_true_random=False))
 def test_ideal_matches_all_multiples_oracle_hypothesis(nvars, rng):
     _assert_ideal_matches_oracle(_random_gens(rng, nvars), 4)
+
+
+# -- IdealGens.make against the render-keyed dedupe -------------------------------
+
+
+def _generator_rows(rng, nvars: int) -> tuple:
+    """Seeded rational HPolys with 2p, -p and p itself next to some p, a
+    zero polynomial, and their (degree, row, den) tuples, each row and
+    denominator multiplied by a common factor (the same polynomial)."""
+    polys = [_random_poly(rng, nvars, rng.randint(0, 3)) for _ in range(rng.randint(0, 5))]
+    for p in list(polys):
+        polys += rng.sample([p.scale(2), p.scale(-1), p, p.scale(Fraction(1, 3))], rng.randint(1, 4))
+    if rng.random() < 0.5:
+        polys.append(HPoly.zero(nvars))
+    rng.shuffle(polys)
+    rows = []
+    for p in polys:
+        d, row, den = as_row(p)
+        k = rng.choice((1, 1, 2, 6))
+        rows.append((d, tuple(k * x for x in row), k * den))
+    if rng.random() < 0.5:
+        d = rng.randint(1, 3)
+        rows.append((d, (0,) * component_dim(nvars, d), rng.randint(1, 5)))
+    return polys, rows
+
+
+def _assert_make_matches_render_keys(nvars: int, polys, rows) -> None:
+    got = IdealGens.make(nvars, rows)
+    want = reference_ideal_gens(polys)
+    assert tuple(as_hpoly(nvars, g) for g in got.gens) == tuple(sorted(want, key=lambda p: as_row(p)))
+    assert _render_ideal(got) == [p.render() for p in want]
+    assert list(got.gens) == sorted(set(got.gens))
+    for d, row, den in got.gens:
+        assert any(row) and den > 0 and gcd(den, *row) == 1
+        assert len(row) == component_dim(nvars, d)
+
+
+def test_ideal_gens_make_keeps_multiples_and_merges_equal_tuples():
+    p = (1, (1, 2), 1)
+    gens = IdealGens.make(
+        2,
+        [p, (1, (2, 4), 1), (1, (-1, -2), 1), (1, (2, 4), 2), (1, (0, 0), 3), (2, (0, 0, 0), 1), (1, (3, 6), 2)],
+    )
+    # 2p and -p are other polynomials; (2 row, 2 den) is p; zeros go
+    assert gens.gens == ((1, (-1, -2), 1), (1, (1, 2), 1), (1, (2, 4), 1), (1, (3, 6), 2))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ideal_gens_make_matches_the_render_keyed_dedupe(seed):
+    rng = random.Random(6100 + seed)
+    nvars = 1 + seed % 4
+    _assert_make_matches_render_keys(nvars, *_generator_rows(rng, nvars))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nvars=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_ideal_gens_make_matches_the_render_keyed_dedupe_hypothesis(nvars, rng):
+    _assert_make_matches_render_keys(nvars, *_generator_rows(rng, nvars))
 
 
 def test_ideal_full_from_a_constant_and_without_generators():

@@ -8,12 +8,18 @@ and are frozen here as oracles.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graded_oracle import integer_contains
+from hpoly_oracle import as_hpoly, as_row, pair
+from test_linalg import reference_rank
+from zonoforge.cli import _family, parse_document
 from zonoforge.config import (
     bases,
     full_family,
@@ -29,11 +35,10 @@ from zonoforge.errors import (
     MissingB0,
     NotIndependent,
 )
-from graded_oracle import integer_contains
-from hpoly_oracle import as_row
 from zonoforge.graded import (
     GradedSubspace,
     IdealGens,
+    component_dim,
     hilbert_quotient,
     ideal_contains,
     ideals_equal,
@@ -57,6 +62,8 @@ from zonoforge.zonotopal import (
     semi_internal,
     stabilization_cap,
 )
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 # -- hitting sets --------------------------------------------------------------
@@ -350,8 +357,54 @@ def test_dual_pairing_certificate_singular_gram(identity2):
     assert kernel_space.comps == ((0, ((1,),)), (1, ((1, 0), (0, 1))), (2, ((0, 1, 0),)))
     assert dual_pairing_certificate(b, kernel_space)["invertible"]
     other = GradedSubspace.from_components(2, {0: [[1]], 1: [[1, 0]], 2: [[1, 0, 0], [0, 1, 0]]})
-    cert = dual_pairing_certificate(dataclasses.replace(b, p_space=other, q_basis=None), kernel_space)
+    singular = dataclasses.replace(b, p_space=other, q_basis=None)
+    cert = dual_pairing_certificate(singular, kernel_space)
+    assert cert == reference_dual_pairing(singular, kernel_space)
     assert cert == {"dim_primal": 4, "dim_kernel": 4, "invertible": False, "passed": False}
+
+
+def reference_dual_pairing(bundle, kernel_space) -> dict:
+    """The Gram check as it was: Fraction polynomials paired by `pair` and
+    ranked by the dense Fraction loop."""
+    n = bundle.config.n
+    if bundle.q_basis is not None:
+        p_polys = [as_hpoly(n, q) for _, q in bundle.q_basis]
+    else:
+        p_polys = [as_hpoly(n, p) for p in bundle.p_space.basis_polys()]
+    d_polys = [as_hpoly(n, q) for q in kernel_space.basis_polys()]
+    gram = [[pair(p, q) for q in d_polys] for p in p_polys]
+    square = len(p_polys) == len(d_polys)
+    invertible = square and reference_rank(gram) == len(p_polys)
+    return {
+        "dim_primal": len(p_polys),
+        "dim_kernel": len(d_polys),
+        "invertible": invertible,
+        "passed": square and invertible,
+    }
+
+
+def test_integer_gram_matches_the_pair_gram_on_every_document_bundle():
+    # each bundle with its q_basis products, with its canonical p_space
+    # rows, and with the first monomials of each degree in place of p_space
+    # (square, and singular for some); the kernel one degree short of
+    # d_space drops a component, so the Gram matrix there is not square
+    for path in sorted(INPUTS.glob("*.json")):
+        c, meta = parse_document(json.loads(path.read_text(encoding="utf-8")))
+        for kind in ("central", "external", "semi_external", "semi_internal"):
+            b = bundle_for(c, kind, _family(c, meta), frozenset(meta["i"]))
+            units = GradedSubspace.from_components(
+                c.n,
+                {
+                    d: [[int(j == k) for j in range(component_dim(c.n, d))] for k in range(len(basis))]
+                    for d, basis in b.p_space.comps
+                },
+            )
+            short = kernel(b.j_ideal, max(b.p_space.top_degree() - 1, 0))
+            primals = (b, dataclasses.replace(b, q_basis=None), dataclasses.replace(b, p_space=units, q_basis=None))
+            for kernel_space in (d_space(b), d_space(b, extra=0), short):
+                for bundle in primals:
+                    got = dual_pairing_certificate(bundle, kernel_space)
+                    assert got == reference_dual_pairing(bundle, kernel_space), (path.name, kind)
 
 
 def test_stabilization_cap_scales(ex25):
