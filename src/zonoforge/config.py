@@ -21,8 +21,7 @@ Each Config also carries two private tables, built at most once each:
   integer coefficient row and a denominator, filled on demand by `_product`
   through the mask recursion p_Y = p_{Y - max Y} * l_{max Y}, so every
   product is one multiplication of a stored one; `subset_polynomial`
-  reads it and hands p_Y on in the package's polynomial format,
-  (degree, integer row, denominator);
+  reads it, as (degree, integer row, denominator) and never as an HPoly;
 - the matroid table: the (n-1)-set -> facet map, with each facet's
   off-hyperplane columns, which internal activity reads (no activity test
   eliminates), the central space of each single-column deletion X - x,
@@ -530,8 +529,7 @@ def _product(c: Config, mask: int) -> tuple:
 
 
 def subset_polynomial(c: Config, cols) -> tuple:
-    """Product of the linear forms of the chosen columns, from the table,
-    as (degree, integer row, denominator)."""
+    """Product of the linear forms of the chosen columns, from the table."""
     mask = set_to_mask(cols)
     return (mask.bit_count(), *_product(c, mask))
 

@@ -5,17 +5,12 @@ subspace of the homogeneous component (linalg.canonical: the reduced
 integer echelon sorted by pivot column, each row primitive with a positive
 pivot), coefficients taken over the graded-lex monomial list.  Because the
 bases are canonical, two graded subspaces are equal iff the dataclasses
-compare equal.  Sums and intersections eliminate these rows as they are;
-basis_polys() pairs each row with its pivot, the denominator that makes it
-the RREF basis.
+compare equal.  Sums and intersections eliminate these rows as they are.
 
-Polynomials in and out of this module are (degree, integer row,
-denominator) tuples, the row over monomials(nvars, degree): the value is
-row / denominator.  The producers are config.subset_polynomial,
-zonotopal.facet_powers and poly.perp_space_gens.  Scaling a row changes
-no span, rank or kernel, so every routine here reads the rows as they
-are and never the denominator; an HPoly is made only by the CLI, to
-render a report.
+Polynomials in and out are (degree, integer row, denominator) tuples (see
+poly).  Scaling a row changes no span, rank or kernel, so the rows are
+read as they are and the denominators never; basis_polys() hands out each
+canonical row over its pivot, the RREF basis.  Only the CLI makes HPolys.
 
 An Ideal is the one owner of an ideal's graded components.  It builds them
 degree by degree (Macaulay): I_d is spanned by x_i times the pivot rows kept
@@ -25,10 +20,6 @@ from poly's shift table.  Once a component is full every later one
 is too, so nothing is eliminated past the first full degree.  Quotient
 Hilbert functions, direct-sum certificates and ideal comparisons read ranks
 and pivot rows from it; an Ideal lives only for the call that builds it.
-
-An IdealGens holds its generators as distinct tuples in sorted order, each
-divided by the gcd of its row and its denominator, so that equal
-polynomials are equal tuples.
 
 The kernel of an ideal under the apolarity action only depends on the
 generators: g(D) annihilates q for every generator g iff every element of
@@ -72,8 +63,7 @@ class GradedSubspace:
 
     @classmethod
     def from_spanning(cls, nvars: int, polys) -> "GradedSubspace":
-        """The span of (degree, integer row, denominator) polynomials; a
-        denominator scales its row and changes no span, so it is not read."""
+        """The span of (degree, integer row, denominator) polynomials."""
         by_degree: dict = {}
         for d, row, _ in polys:
             by_degree.setdefault(d, []).append(row)
@@ -106,11 +96,8 @@ class GradedSubspace:
         return tuple(dims)
 
     def basis_polys(self) -> tuple:
-        """The RREF basis as (degree, canonical row, its pivot): each row
-        divided by its pivot."""
-        return tuple(
-            (d, row, next(x for x in row if x)) for d, basis in self.comps for row in basis
-        )
+        """The RREF basis: each canonical row over its pivot."""
+        return tuple((d, row, next(x for x in row if x)) for d, basis in self.comps for row in basis)
 
 
 @dataclass(frozen=True)
@@ -120,9 +107,8 @@ class IdealGens:
 
     @classmethod
     def make(cls, nvars: int, polys) -> "IdealGens":
-        """Generators as sorted, distinct (degree, integer row, denominator)
-        tuples, each divided by the gcd of its row and denominator so that
-        equal polynomials are equal tuples; zero polynomials are dropped."""
+        """The distinct nonzero polynomials, sorted, each divided by the gcd
+        of its row and denominator so that equal polynomials are equal."""
         uniq = set()
         for d, row, den in polys:
             if any(row):
@@ -166,7 +152,6 @@ class Ideal:
         return self._echelons[d]
 
     def __contains__(self, p: tuple) -> bool:
-        """Membership of a (degree, integer row, denominator) polynomial."""
         d, row, _ = p
         if self.is_full(d):
             return True

@@ -10,10 +10,9 @@ coprime integers), so two row spaces are equal iff their canonical bases
 are identical tuples; integer_nullspace() gives a kernel in that form.
 
 No Fraction is eliminated: callers scale their rows with `_integer_row`
-(which changes no rank) or build them from ints.  A canonical row stays
-integer; its RREF row is the row over its pivot, and only the CLI, when
-it renders a polynomial, divides.  det() alone runs on Fractions.  No
-floats enter anywhere.
+(which changes no rank) or build them from ints; a canonical row's RREF
+row is the row over its pivot, and only the CLI divides, to render.
+det() alone runs on Fractions.  No floats enter anywhere.
 """
 
 from __future__ import annotations

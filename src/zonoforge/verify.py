@@ -297,10 +297,7 @@ def _verify_explus(c: Config, given, seed: int, dmax) -> list:
     pts = vertex_set(arr, ext_bases)
     rows.append(
         _dual_row(
-            d_space(b),
-            pts,
-            "least space of the extended vertices equals the cover-ideal kernel",
-            arr,
+            d_space(b), pts, "least space of the extended vertices equals the cover-ideal kernel", arr
         )
     )
     rng = random.Random(seed)

@@ -12,18 +12,17 @@ Every constructor computes the Hilbert function three ways -- valuation
 histogram, power-ideal quotient, primal-space dimensions -- and raises
 ConsistencyError if they disagree: the artifact is its own theorem checker.
 
-Every polynomial here is a (degree, integer row, denominator) tuple (see
-poly); no HPoly is made.  Every spanning set (the central, full and
-family-short spaces, the passive-set spans and the r37 patch) is a span
-of products p_Y read as integer rows from the configuration's
-subset-product table (`_span`), so each product is built once per
-configuration.  The q_basis and cover generators are the same table
-entries, through `subset_polynomial` (the semi-external cover generators
-may use b0 vectors, so they come from the table of `Config.extended()`,
-X u B0).  Power ideals do not read the table: `facet_powers` writes each
-(v . t)^e down by the multinomial theorem, so the quotient route shares
-no product code with the space route it checks.  The Gram check of
-`dual_pairing_certificate` pairs integer rows directly.
+Polynomials are (degree, integer row, denominator) tuples (see poly); only
+the CLI makes HPolys.
+Every spanning set (the central, full and family-short spaces, the
+passive-set spans and the r37 patch) spans products p_Y read from the
+configuration's subset-product table (`_span`), and the q_basis and cover
+generators are its entries (`subset_polynomial`; the semi-external cover
+generators may use b0 vectors, so they come from the table of
+`Config.extended()`, X u B0): each product is built once per
+configuration.  Power ideals do not read the table: `facet_powers` writes
+each (v . t)^e down by the multinomial theorem, so the quotient route
+shares no product code with the space route it checks.
 
 Shared routes, one owner each: `facet_powers` builds every power ideal's
 facet-normal powers; `deletion_intersection` intersects the central spaces
@@ -194,9 +193,9 @@ def full_span_space(c: Config) -> GradedSubspace:
 
 
 def facet_powers(c: Config, exponent) -> list:
-    """Each facet normal raised to exponent(facet), as (degree, integer row,
-    1); a facet whose exponent is None contributes nothing.  Every power
-    ideal is built from these.
+    """Each facet normal raised to exponent(facet), with denominator 1; a
+    facet whose exponent is None contributes nothing.  Every power ideal is
+    built from these.
 
     (v . t)^e is written down by the multinomial theorem, coefficient
     e!/a! * v^a at t^a, and shares no code with the product table: the
@@ -456,25 +455,20 @@ def d_space(bundle: Bundle, extra: int = 1) -> GradedSubspace:
 
 def dual_pairing_certificate(bundle: Bundle, kernel_space: GradedSubspace) -> dict:
     """Gram-matrix invertibility between the primal basis (the q_basis
-    products, else the canonical p_space rows) and the canonical basis of
-    kernel_space, the cover-ideal kernel that `d_space` computes.
-
-    The entry for rows p and q is the apolarity pairing sum_m p_m q_m m!,
-    zero between different degrees, on the integer rows as they are:
-    scaling a row or a column of the matrix changes no rank, so the
-    denominators are not read."""
+    products, else the p_space rows) and the basis of kernel_space, the
+    cover-ideal kernel from `d_space`.  The entry of integer rows p and q
+    is the apolarity pairing sum_m p_m q_m m!, zero across degrees; scaling
+    a row or a column changes no rank, so no denominator is read."""
     if bundle.q_basis is not None:
         p_polys = [q for _, q in bundle.q_basis]
     else:
-        p_polys = list(bundle.p_space.basis_polys())
+        p_polys = bundle.p_space.basis_polys()
     n = bundle.config.n
     d_polys = [
         (d, [x * multi_factorial(m) for x, m in zip(row, monomials(n, d))])
         for d, row, _ in kernel_space.basis_polys()
     ]
-    gram = [
-        [sum(map(mul, p, q)) if e == d else 0 for d, q in d_polys] for e, p, _ in p_polys
-    ]
+    gram = [[sum(map(mul, p, q)) if e == d else 0 for d, q in d_polys] for e, p, _ in p_polys]
     square = len(p_polys) == len(d_polys)
     # both spaces zero: an empty echelon, vacuously a perfect pairing
     invertible = square and len(echelon(gram, len(d_polys))) == len(p_polys)
