@@ -113,9 +113,7 @@ class IdealGens:
         for d, row, den in polys:
             if any(row):
                 g = gcd(den, *row)
-                if g != 1:
-                    row, den = [x // g for x in row], den // g
-                uniq.add((d, tuple(row), den))
+                uniq.add((d, tuple([x // g for x in row]), den // g))
         return cls(nvars, tuple(sorted(uniq)))
 
 

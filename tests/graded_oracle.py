@@ -22,9 +22,9 @@ from functools import partial
 from math import gcd
 
 from hpoly_oracle import as_hpoly, diff_apply
+from test_linalg import primitive_integer
 from test_linalg import reference_nullspace as nullspace
 from test_linalg import reference_row_basis as row_basis
-from test_linalg import primitive_integer
 from test_linalg import reference_rref as rref
 from zonoforge.errors import DimensionMismatch
 from zonoforge.graded import Ideal, IdealGens, component_dim
