@@ -142,10 +142,6 @@ class Config:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def subset_rows(self, cols) -> tuple:
-        """The chosen columns as matrix rows, in index order."""
-        return tuple(self.columns[i] for i in sorted(cols))
-
     def extended(self) -> "Config":
         """The configuration X u B0, the b0 vectors appended after all
         columns, built once per Config and kept in its table."""

@@ -42,7 +42,7 @@ from .errors import (
     UnknownBasis,
 )
 from .graded import GradedSubspace
-from .linalg import _integer_row, canonical, echelon, frac, matrix
+from .linalg import _integer_row, canonical, echelon, frac
 from .poly import monomials, multi_factorial
 
 MAX_SAMPLING_TRIES = 100
@@ -251,15 +251,18 @@ def restriction_certificate(points, space: GradedSubspace) -> dict:
 
 
 def is_unimodular(c: Config) -> bool:
-    """Integer entries and every basis determinant of absolute value 1."""
-    from .linalg import det
+    """Integer entries and every basis determinant of absolute value 1.
 
+    An integer basis B has |det B| = 1 exactly when B^-1 is integral, that
+    is, when the reduced echelon of the rows [B | I], which is [I | B^-1],
+    needs no scaling: every pivot of its canonical basis is 1."""
     for v in c.columns:
         if any(x.denominator != 1 for x in v):
             return False
+    unit = [tuple(int(i == k) for i in range(c.n)) for k in range(c.n)]
     for b in bases(c):
-        d = det(matrix([c.columns[j] for j in sorted(b)]))
-        if d not in (1, -1):
+        rows = [c._ints[j] + e for j, e in zip(sorted(b), unit)]
+        if any(row[k] != 1 for k, row in enumerate(canonical(rows, 2 * c.n))):
             return False
     return True
 

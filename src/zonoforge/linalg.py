@@ -11,8 +11,8 @@ are identical tuples; integer_nullspace() gives a kernel in that form.
 
 No Fraction is eliminated: callers scale their rows with `_integer_row`
 (which changes no rank) or build them from ints; a canonical row's RREF
-row is the row over its pivot, and only the CLI divides, to render.
-det() alone runs on Fractions.  No floats enter anywhere.
+row is the row over its pivot, and only the CLI divides, to render.  No
+floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -156,27 +156,4 @@ def integer_nullspace(rows, ncols: int) -> tuple:
             v[c] = -x * (scale // p)
         basis.append(v)
     return canonical(basis, ncols)
-
-
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("determinant of a non-square matrix")
-    rows = [list(r) for r in a]
-    d = Fraction(1)
-    for c in range(n):
-        pin = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pin is None:
-            return Fraction(0)
-        if pin != c:
-            rows[c], rows[pin] = rows[pin], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
 

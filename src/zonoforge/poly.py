@@ -83,10 +83,9 @@ def multi_factorial(exp) -> int:
 
 
 class HPoly:
-    """A homogeneous polynomial; immutable by convention.  render() keeps its
-    text in the `_text` slot, unset until the first call."""
+    """A homogeneous polynomial; immutable by convention."""
 
-    __slots__ = ("nvars", "degree", "coeffs", "_text")
+    __slots__ = ("nvars", "degree", "coeffs")
 
     def __init__(self, nvars: int, coeffs: dict):
         clean = {}
@@ -195,12 +194,7 @@ class HPoly:
 
     def render(self) -> str:
         """Canonical text form, terms in graded-lex order, rationals as p/q."""
-        try:
-            return self._text
-        except AttributeError:
-            pass
         if self.is_zero:
-            self._text = "0"
             return "0"
         parts = []
         for exp in monomials(self.nvars, self.degree):
@@ -224,7 +218,6 @@ class HPoly:
         text = ("-" if sign == "-" else "") + body
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
-        self._text = text
         return text
 
 

@@ -8,9 +8,12 @@ Four kinds exist: central, external, semi-external (relative to a span-closed
 family between the bases and all independents) and semi-internal (relative to
 an independent set whose columns are moved last in the activity order).
 
-Every constructor computes the Hilbert function three ways -- valuation
-histogram, power-ideal quotient, primal-space dimensions -- and raises
-ConsistencyError if they disagree: the artifact is its own theorem checker.
+One assembler, `_bundle`, owns the bundle checks: the members'
+passive-set products span the primal space (central and semi-external),
+the Hilbert function computed three ways -- valuation histogram,
+power-ideal quotient, primal-space dimensions -- agrees, and the primal
+dimension is the member count.  It raises ConsistencyError otherwise: the
+artifact is its own theorem checker.
 
 Polynomials are (degree, integer row, denominator) tuples (see poly); only
 the CLI makes HPolys.
@@ -58,10 +61,11 @@ from .config import (
     internal_bases,
     is_coloop,
     is_independent,
+    normal_power_condition,
     order_with_last,
     passive_set,
-    rank_of,
     set_to_mask,
+    span_le,
     subset_polynomial,
     valuation_histogram,
 )
@@ -69,7 +73,6 @@ from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, Mis
 from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
 from .linalg import canonical, echelon
 from .poly import monomials, multi_factorial, perp_space_gens
-from .config import normal_power_condition, span_le
 
 
 @dataclass(frozen=True)
@@ -98,18 +101,6 @@ def _check(cond: bool, msg: str, **evidence):
         if evidence:
             msg += ": " + ", ".join(f"{k}={v!r}" for k, v in evidence.items())
         raise ConsistencyError(msg)
-
-
-def _check_hilbert(kind: str, h_val: tuple, h_alg: tuple, p_space: GradedSubspace):
-    """The valuation, ideal-quotient and space Hilbert functions must agree."""
-    h_space = p_space.hilbert()
-    _check(
-        h_val == h_alg == h_space,
-        f"{kind}: Hilbert functions disagree",
-        h_val=h_val,
-        h_alg=h_alg,
-        p_space_hilbert=h_space,
-    )
 
 
 def stabilization_cap(c: Config) -> int:
@@ -177,14 +168,26 @@ def _span(c: Config, masks) -> GradedSubspace:
     return GradedSubspace.from_components(c.n, by_degree)
 
 
+def _family_short_space(c: Config, fam) -> GradedSubspace:
+    """Span of p_Y over subsets Y missing at least one family member."""
+    full = (1 << c.ncols) - 1
+    shorts = set()
+    for i_set in fam:
+        free = full ^ set_to_mask(i_set)
+        sub = free
+        while True:  # every submask of free, free itself down to 0
+            shorts.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return _span(c, sorted(shorts))
+
+
 @lru_cache(maxsize=None)
 def central_space(c: Config) -> GradedSubspace:
-    """Span of the products over short subsets (complement still spans)."""
-    full = (1 << c.ncols) - 1
-    return _span(
-        c,
-        [m for m in range(full + 1) if rank_of(c, _mask_to_set(full ^ m)) == c.n],
-    )
+    """Span of the products over short subsets: Y is short exactly when
+    its complement still spans, that is, misses some basis."""
+    return _family_short_space(c, bases(c))
 
 
 def full_span_space(c: Config) -> GradedSubspace:
@@ -221,54 +224,58 @@ def cocircuit_gens(c: Config) -> IdealGens:
     )
 
 
-@lru_cache(maxsize=None)
-def central(c: Config) -> Bundle:
-    passive = [passive_set(c, b) for b in bases(c)]
-    qb = tuple((b, subset_polynomial(c, y)) for b, y in zip(bases(c), passive))
-    p_from_q = _span(c, map(set_to_mask, passive))
-    p_space = central_space(c)
-    _check(
-        p_from_q == p_space,
-        "central: passive-set products fail to span the short-set space",
-        p_from_q_hilbert=p_from_q.hilbert(),
-        p_space_hilbert=p_space.hilbert(),
-    )
-    i_gens = IdealGens.make(c.n, facet_powers(c, lambda f: f.mult))
-    j_gens = cocircuit_gens(c)
-    h_val = valuation_histogram(c, bases(c))
+def _bundle(
+    kind: str,
+    c: Config,
+    members,
+    p_space: GradedSubspace,
+    i_gens: IdealGens,
+    j_gens: IdealGens,
+    with_q_basis: bool = True,
+    order=None,
+    **extra,
+) -> Bundle:
+    """Check the bundle invariants and build the Bundle.
+
+    With `with_q_basis` the members' passive-set products must span p_space
+    and become the q_basis.  The valuation histogram of the members (in
+    `order`, which the Bundle keeps), the quotient by i_gens and the
+    p_space dimensions must give one Hilbert function, and p_space one
+    dimension per member.  Each ConsistencyError starts with the kind."""
+    label = kind.replace("_", "-")
+    q_basis = None
+    if with_q_basis:
+        passive = [passive_set(c, m) for m in members]
+        q_basis = tuple((m, subset_polynomial(c, y)) for m, y in zip(members, passive))
+        p_from_q = _span(c, map(set_to_mask, passive))
+        _check(
+            p_from_q == p_space,
+            f"{label}: passive-set products fail to span the short-set space",
+            p_from_q_hilbert=p_from_q.hilbert(),
+            p_space_hilbert=p_space.hilbert(),
+        )
+    h_val = valuation_histogram(c, members, order)
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
-    _check_hilbert("central", h_val, h_alg, p_space)
+    h_space = p_space.hilbert()
     _check(
-        p_space.dim() == len(bases(c)),
-        "central: dimension is not the basis count",
+        h_val == h_alg == h_space,
+        f"{label}: Hilbert functions disagree",
+        h_val=h_val,
+        h_alg=h_alg,
+        p_space_hilbert=h_space,
+    )
+    _check(
+        p_space.dim() == len(members),
+        f"{label}: dimension is not the member count",
         dim=p_space.dim(),
-        n_bases=len(bases(c)),
+        members=len(members),
     )
-    return Bundle(
-        kind="central",
-        config=c,
-        p_space=p_space,
-        q_basis=qb,
-        i_ideal=i_gens,
-        j_ideal=j_gens,
-        hilbert_valuation=h_val,
-        hilbert_algebraic=h_alg,
-    )
+    return Bundle(kind, c, p_space, q_basis, i_gens, j_gens, h_val, h_alg, order=order, **extra)
 
 
-def _family_short_space(c: Config, fam: SemiExternalFamily) -> GradedSubspace:
-    """Span of p_Y over subsets Y missing at least one family member."""
-    full = (1 << c.ncols) - 1
-    shorts = set()
-    for i_set in fam:
-        free = full ^ set_to_mask(i_set)
-        sub = free
-        while True:  # every submask of free, free itself down to 0
-            shorts.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & free
-    return _span(c, sorted(shorts))
+def central(c: Config) -> Bundle:
+    i_gens = IdealGens.make(c.n, facet_powers(c, lambda f: f.mult))
+    return _bundle("central", c, bases(c), central_space(c), i_gens, cocircuit_gens(c))
 
 
 def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
@@ -276,17 +283,6 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
         raise MissingB0()
     fam = ensure_family(c, fam)
     member_set = set(fam.members)
-
-    passive = [passive_set(c, s) for s in fam]
-    qb = tuple((s, subset_polynomial(c, y)) for s, y in zip(fam, passive))
-    p_from_q = _span(c, map(set_to_mask, passive))
-    p_space = _family_short_space(c, fam)
-    _check(
-        p_from_q == p_space,
-        "semi-external: passive-set products fail to span",
-        p_from_q_hilbert=p_from_q.hilbert(),
-        p_space_hilbert=p_space.hilbert(),
-    )
 
     # power ideal: external facet powers, plus for every span S missed by the
     # family all degree-#(X off S) polynomials constant along S
@@ -319,27 +315,9 @@ def semi_external(c: Config, fam: SemiExternalFamily) -> Bundle:
     j_gens = IdealGens.make(
         c.n, [subset_polynomial(ext, y) for y in minimal_hitting_sets(cover_family)]
     )
-
-    h_val = valuation_histogram(c, fam.members)
-    h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
-    _check_hilbert("semi-external", h_val, h_alg, p_space)
-    _check(
-        p_space.dim() == len(fam),
-        "semi-external: dimension is not the family size",
-        dim=p_space.dim(),
-        family_size=len(fam),
-    )
-    return Bundle(
-        kind="semi_external",
-        config=c,
-        p_space=p_space,
-        q_basis=qb,
-        i_ideal=i_gens,
-        j_ideal=j_gens,
-        hilbert_valuation=h_val,
-        hilbert_algebraic=h_alg,
-        ieps_ideal=ieps,
-        family=fam,
+    p_space = _family_short_space(c, fam)
+    return _bundle(
+        "semi_external", c, fam.members, p_space, i_gens, j_gens, ieps_ideal=ieps, family=fam
     )
 
 
@@ -399,36 +377,21 @@ def semi_internal(c: Config, i_set) -> Bundle:
         return central(c)
     _check_i_set(c, i_set)
 
-    order = order_with_last(c, i_set)
     bminus = i_internal_bases(c, i_set)
-    p_space = deletion_intersection(c, i_set)
-
-    i_gens = semi_internal_i_gens(c, i_set)
     j_gens = IdealGens.make(
         c.n, [subset_polynomial(c, y) for y in minimal_hitting_sets(bminus)]
     )
-
-    h_val = valuation_histogram(c, bminus, order=order)
-    h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
-    _check_hilbert("semi-internal", h_val, h_alg, p_space)
-    _check(
-        p_space.dim() == len(bminus),
-        "semi-internal: dimension is not the restricted basis count",
-        dim=p_space.dim(),
-        n_restricted_bases=len(bminus),
-    )
-    return Bundle(
-        kind="semi_internal",
-        config=c,
-        p_space=p_space,
-        q_basis=None,
-        i_ideal=i_gens,
-        j_ideal=j_gens,
-        hilbert_valuation=h_val,
-        hilbert_algebraic=h_alg,
+    return _bundle(
+        "semi_internal",
+        c,
+        bminus,
+        deletion_intersection(c, i_set),
+        semi_internal_i_gens(c, i_set),
+        j_gens,
+        with_q_basis=False,
+        order=order_with_last(c, i_set),
         i_set=i_set,
         b_minus=bminus,
-        order=order,
     )
 
 
@@ -448,9 +411,9 @@ def bundle_for(c: Config, kind: str, fam: SemiExternalFamily | None = None, i_se
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def d_space(bundle: Bundle, extra: int = 1) -> GradedSubspace:
-    """Kernel of the cover ideal, computed past the primal top degree."""
-    return kernel(bundle.j_ideal, bundle.p_space.top_degree() + extra)
+def d_space(bundle: Bundle) -> GradedSubspace:
+    """Kernel of the cover ideal, computed one degree past the primal top."""
+    return kernel(bundle.j_ideal, bundle.p_space.top_degree() + 1)
 
 
 def dual_pairing_certificate(bundle: Bundle, kernel_space: GradedSubspace) -> dict:
@@ -480,11 +443,12 @@ def dual_pairing_certificate(bundle: Bundle, kernel_space: GradedSubspace) -> di
     }
 
 
-def minimal_completion_sum(c: Config, fam: SemiExternalFamily, require_condition: bool = True) -> GradedSubspace:
+def minimal_completion_sum(c: Config, fam: SemiExternalFamily) -> GradedSubspace:
     """Sum over minimal family members of the intersections of the central
-    spaces of the configurations augmented by each basis completion."""
+    spaces of the configurations augmented by each basis completion; raises
+    ConditionFails unless the family meets the normal-power condition."""
     holds, witness = normal_power_condition(c, fam)
-    if require_condition and not holds:
+    if not holds:
         raise ConditionFails(witness)
     total = GradedSubspace.zero(c.n)
     for i_set in fam:

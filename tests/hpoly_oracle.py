@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from test_linalg import reference_nullspace, reference_rank
+from test_linalg import reference_nullspace, reference_rank, subset_rows
 from zonoforge.config import Config, is_independent
 from zonoforge.errors import DimensionMismatch, MissingB0, NotIndependent
 from zonoforge.linalg import frac, matrix
@@ -114,7 +114,7 @@ def reference_extend_basis(c: Config, i_set) -> frozenset:
     i_set = frozenset(i_set)
     if not is_independent(c, i_set):
         raise NotIndependent(i_set)
-    chosen = list(c.subset_rows(i_set))
+    chosen = list(subset_rows(c, i_set))
     out = set(i_set)
     taken = []
     for k, b in enumerate(c.b0):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpoly_oracle import as_hpoly, as_row, evaluate
-from test_linalg import reference_rank, reference_rref as rref
+from test_linalg import det, reference_rank, reference_rref as rref, subset_rows
 from zonoforge.config import Config, bases, independents, make_config
 from zonoforge.errors import (
     ConsistencyError,
@@ -358,6 +358,26 @@ def test_unimodular_detection(ex25, triangle):
     assert not is_unimodular(make_config([[2]]))
     assert not is_unimodular(make_config([[1, 1], [0, 2]]))
     assert not is_unimodular(make_config([["1/2", 0], [0, 1]]))
+
+
+def test_unimodular_detection_matches_the_fraction_determinant():
+    # seeded integer configurations, entries in -2..2: a configuration is
+    # unimodular exactly when the Fraction determinant of every basis is
+    # 1 or -1, and the bases seen have determinants 1, -1, 2 and -2
+    rng = random.Random(5)
+    seen = set()
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 3)
+        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + rng.randint(0, 2))]
+        if not all(map(any, cols)) or reference_rank(cols) < n:
+            continue
+        checked += 1
+        c = Config(tuple(cols))
+        dets = {det(matrix(subset_rows(c, b))) for b in bases(c)}
+        seen |= dets
+        assert is_unimodular(c) == (dets <= {1, -1}), cols
+    assert {1, -1, 2, -2} <= seen
 
 
 def test_lattice_points_of_the_example(ex25):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonoforge.errors import DimensionMismatch
 from zonoforge.geometry import _solve_vertex
 from zonoforge.linalg import (
     _integer_row,
     canonical,
-    det,
     echelon,
     frac,
     integer_nullspace,
@@ -83,6 +83,31 @@ def test_solve_square_inverts_and_detects_singular():
     assert tuple(dot(row, x) for row in a) == (Fraction(3), Fraction(2))
     assert _solve_vertex([[1, 2, 1], [2, 4, 0]], 2) is None  # inconsistent
     assert _solve_vertex([[1, 2, 1], [2, 4, 2]], 2) is None  # rank one
+
+
+def det(a) -> Fraction:
+    """Determinant by Fraction elimination: the former `linalg.det`, kept
+    verbatim as the oracle of `geometry.is_unimodular`."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DimensionMismatch("determinant of a non-square matrix")
+    rows = [list(r) for r in a]
+    d = Fraction(1)
+    for c in range(n):
+        pin = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pin is None:
+            return Fraction(0)
+        if pin != c:
+            rows[c], rows[pin] = rows[pin], rows[c]
+            d = -d
+        d *= rows[c][c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d
 
 
 def test_det_small_cases():
@@ -158,6 +183,12 @@ def reference_rank(m) -> int:
     """Rank by reference_rref, for tests whose oracle must not share the
     library's elimination; ints are taken as Fractions."""
     return len(reference_rref([[Fraction(x) for x in row] for row in m])[1])
+
+
+def subset_rows(c, cols) -> tuple:
+    """The chosen columns of a Config as matrix rows, in index order: the
+    former `Config.subset_rows`, which only the tests read."""
+    return tuple(c.columns[i] for i in sorted(cols))
 
 
 def reference_row_basis(m):

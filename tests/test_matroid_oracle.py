@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import primitive_integer, reference_nullspace as nullspace, reference_rank
+from test_linalg import primitive_integer, reference_nullspace as nullspace, reference_rank, subset_rows
 from zonoforge import config
 from zonoforge.config import (
     Config,
@@ -45,15 +45,15 @@ from zonoforge.linalg import frac
 
 
 def span_contains(c: Config, cols, vec) -> bool:
-    rows = c.subset_rows(cols)
+    rows = subset_rows(c, cols)
     return reference_rank(rows + (tuple(frac(x) for x in vec),)) == reference_rank(rows)
 
 
 def reference_span_le(c: Config, a, b) -> bool:
     """span(columns a) contained in span(columns b)."""
-    rows_b = c.subset_rows(b)
+    rows_b = subset_rows(c, b)
     rb = reference_rank(rows_b)
-    return reference_rank(rows_b + c.subset_rows(a)) == rb
+    return reference_rank(rows_b + subset_rows(c, a)) == rb
 
 
 def reference_passive_set(c: Config, y, order=None) -> frozenset:
@@ -73,7 +73,7 @@ def reference_passive_set(c: Config, y, order=None) -> frozenset:
 
 def _facet_of_subbasis(c: Config, cols) -> Facet:
     """The facet spanned by a rank n-1 column set."""
-    normal = primitive_integer(nullspace(c.subset_rows(cols), ncols=c.n)[0])
+    normal = primitive_integer(nullspace(subset_rows(c, cols), ncols=c.n)[0])
     for f in facets(c):
         if f.normal == normal:
             return f
@@ -122,7 +122,7 @@ def defined_internal_bases(c: Config, order) -> tuple:
     for b_set in bases(c):
         active = False
         for b in b_set:
-            rows = c.subset_rows(b_set - {b})
+            rows = subset_rows(c, b_set - {b})
             later_off = [
                 x for x in range(c.ncols)
                 if pos[x] > pos[b] and reference_rank(rows + (c.columns[x],)) == c.n

@@ -21,11 +21,15 @@ from hpoly_oracle import as_hpoly, as_row, pair
 from test_linalg import reference_rank
 from zonoforge.cli import _family, parse_document
 from zonoforge.config import (
+    SemiExternalFamily,
     bases,
+    ensure_family,
     full_family,
+    i_internal_bases,
     make_config,
     semiexternal_close,
     set_to_mask,
+    valuation_histogram,
 )
 from zonoforge.errors import (
     ColoopInI,
@@ -399,9 +403,10 @@ def test_integer_gram_matches_the_pair_gram_on_every_document_bundle():
                     for d, basis in b.p_space.comps
                 },
             )
+            at_top = kernel(b.j_ideal, b.p_space.top_degree())
             short = kernel(b.j_ideal, max(b.p_space.top_degree() - 1, 0))
             primals = (b, dataclasses.replace(b, q_basis=None), dataclasses.replace(b, p_space=units, q_basis=None))
-            for kernel_space in (d_space(b), d_space(b, extra=0), short):
+            for kernel_space in (d_space(b), at_top, short):
                 for bundle in primals:
                     got = dual_pairing_certificate(bundle, kernel_space)
                     assert got == reference_dual_pairing(bundle, kernel_space), (path.name, kind)
@@ -483,12 +488,8 @@ def test_hilbert_disagreement_carries_all_three_vectors(monkeypatch):
 
     c = make_config([[1, 0, 1], [0, 1, 1]])
     monkeypatch.setattr(zonotopal, "hilbert_quotient", lambda gens, cap: (1, 1, 1))
-    central.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError) as info:
-            central(c)
-    finally:
-        central.cache_clear()
+    with pytest.raises(ConsistencyError) as info:
+        central(c)
     msg = str(info.value)
     assert msg.startswith("central: Hilbert functions disagree")
     assert "h_val=(1, 2)" in msg
@@ -505,13 +506,75 @@ def test_span_disagreement_carries_both_hilbert_vectors(monkeypatch):
     c = make_config([[1, 0, 1], [0, 1, 1]])
     constants = GradedSubspace.from_spanning(2, [as_row(HPoly.constant(2))])
     monkeypatch.setattr(zonotopal, "central_space", lambda c: constants)
-    central.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError) as info:
-            central(c)
-    finally:
-        central.cache_clear()
+    with pytest.raises(ConsistencyError) as info:
+        central(c)
     msg = str(info.value)
     assert msg.startswith("central: passive-set products fail to span the short-set space")
     assert "p_from_q_hilbert=(1, 2)" in msg
     assert "p_space_hilbert=(1,)" in msg
+
+
+def _first_twice(members: tuple) -> tuple:
+    return members[:1] + members
+
+
+# kind -> (its bundle on ex25 with fam2 and I = {2, 3}, the zonotopal name
+# of its primal space, and a patch that lists its first member twice)
+BUNDLE_CASES = {
+    "central": (
+        lambda c, fam: central(c),
+        "central_space",
+        {"bases": lambda c: _first_twice(bases(c))},
+    ),
+    "semi_external": (
+        semi_external,
+        "_family_short_space",
+        {"ensure_family": lambda c, fam: SemiExternalFamily(_first_twice(ensure_family(c, fam).members))},
+    ),
+    "semi_internal": (
+        lambda c, fam: semi_internal(c, {2, 3}),
+        "deletion_intersection",
+        {"i_internal_bases": lambda c, i: _first_twice(i_internal_bases(c, i))},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUNDLE_CASES))
+def test_each_bundle_check_names_its_kind_and_evidence(kind, ex25, fam2, monkeypatch):
+    import zonoforge.zonotopal as zonotopal
+
+    build, space_name, repeat_first = BUNDLE_CASES[kind]
+    label = kind.replace("_", "-")
+    h = build(ex25, fam2).hilbert_valuation
+    dim = sum(h)
+
+    def message(**patches) -> str:
+        with monkeypatch.context() as m:
+            for name, value in patches.items():
+                m.setattr(zonotopal, name, value)
+            with pytest.raises(ConsistencyError) as info:
+                build(ex25, fam2)
+        return str(info.value)
+
+    msg = message(hilbert_quotient=lambda gens, cap: h + (1,))
+    assert msg.startswith(f"{label}: Hilbert functions disagree")
+    assert f"h_val={h!r}" in msg and f"h_alg={h + (1,)!r}" in msg and f"p_space_hilbert={h!r}" in msg
+
+    # a zero primal space: the passive-set span check fires where the
+    # bundle has one, the Hilbert check otherwise
+    msg = message(**{space_name: lambda *args: GradedSubspace.zero(ex25.n)})
+    if kind == "semi_internal":
+        assert msg.startswith(f"{label}: Hilbert functions disagree")
+        assert f"h_val={h!r}" in msg and "p_space_hilbert=()" in msg
+    else:
+        assert msg.startswith(f"{label}: passive-set products fail to span the short-set space")
+        assert f"p_from_q_hilbert={h!r}" in msg and "p_space_hilbert=()" in msg
+
+    # one member listed twice and counted once by the valuation histogram:
+    # the Hilbert functions agree, but the dimension is one short
+    msg = message(
+        valuation_histogram=lambda c, members, order=None: valuation_histogram(c, members[1:], order),
+        **repeat_first,
+    )
+    assert msg.startswith(f"{label}: dimension is not the member count")
+    assert f"dim={dim}" in msg and f"members={dim + 1}" in msg
