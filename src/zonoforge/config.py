@@ -12,9 +12,10 @@ no hyperplane membership, so no matroid query turns Fractions into ints.
 The rank cache (`rank_of`, at most one elimination per configuration and
 column set) answers span tests and passive sets by comparing ranks.
 `independents` extends the echelon of each independent set by one column,
-and `facets` skips every (n-1)-set inside a hyperplane it has already found
-and tests membership by an integer dot product.  A Config computes its
-hash once, so a cache lookup costs no rehash of its entries.
+and `facets` walks the independent (n-1)-sets, skips every one inside a
+hyperplane it has already found and tests membership by an integer dot
+product.  A Config computes its hash once, so a cache lookup costs no
+rehash of its entries.
 
 Each Config also carries two private tables, built at most once each:
 - the subset-product table: column bitmask -> p_Y = prod_{x in Y} x as an
@@ -30,9 +31,10 @@ Each Config also carries two private tables, built at most once each:
   It holds `central_space`'s own results, never an intersection.
 Neither is a field (equality, hash and repr ignore them); they live and die
 with their Config, and a derived Config starts with empty ones.  The
-coloop mask is found once per Config and kept on it the same way.  A
-deletion X - x of a non-coloop (`_delete`) is built from its parent's
-normalized columns and integer rows, with nothing validated again.
+coloop mask, the AND of the basis masks (a coloop lies in every basis), is
+found once per Config and kept on it the same way.  A deletion X - x of a
+non-coloop (`_delete`) is built from its parent's normalized columns and
+integer rows, with nothing validated again.
 
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
@@ -43,10 +45,10 @@ the statements about I-internal bases need I to come last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import and_, mul
 
 from .errors import (
     BadB0,
@@ -232,18 +234,19 @@ class Facet:
 def facets(c: Config) -> tuple:
     """One Facet per distinct hyperplane spanned by columns, sorted by normal.
 
-    An (n-1)-set inside the members of a hyperplane already found spans
-    that hyperplane or less, so it is skipped; any other set of rank n-1
-    spans a new one.  Membership is an integer dot product.
+    Every such hyperplane is spanned by an independent (n-1)-set, so only
+    those are walked.  One inside the members of a hyperplane already found
+    spans that hyperplane, so it is skipped; any other spans a new one.
+    Membership is an integer dot product.
     """
     ints = c._ints
     seen = {}
     found = []  # member masks of the hyperplanes so far
-    for sub in combinations(range(c.ncols), c.n - 1):
+    for sub in independents(c):
+        if len(sub) != c.n - 1:
+            continue
         sub_mask = set_to_mask(sub)
         if any(sub_mask & m == sub_mask for m in found):
-            continue
-        if rank_of(c, frozenset(sub)) != c.n - 1:
             continue
         normal = integer_nullspace([ints[i] for i in sub], c.n)[0]
         members = frozenset(
@@ -256,15 +259,11 @@ def facets(c: Config) -> tuple:
 
 def _coloop_mask(c: Config) -> int:
     """Bitmask of the columns whose deletion drops the rank, found once per
-    Config (one echelon of the other columns each) and kept on it."""
+    Config and kept on it: a coloop is a column in every basis, so the mask
+    is the AND of the basis masks."""
     mask = c._coloops
     if mask is None:
-        ints = c._ints
-        mask = sum(
-            1 << i
-            for i in range(c.ncols)
-            if len(echelon(ints[:i] + ints[i + 1:], c.n)) < c.n
-        )
+        mask = reduce(and_, map(set_to_mask, bases(c)))
         object.__setattr__(c, "_coloops", mask)
     return mask
 

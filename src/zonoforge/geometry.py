@@ -3,7 +3,16 @@
 An offset vector turns each column x into the hyperplane <x, u> = offset_x.
 When the arrangement is simple (every k of the hyperplanes meet in
 codimension k or not at all) the vertices are exactly the basis solutions,
-and the space spanned by the lowest-degree parts of the point exponentials
+one per basis.  It is simple exactly when no basis vertex lies on the
+hyperplane of a column outside its basis: a dependent set S of hyperplanes
+through one point has a basis of its span inside S, which extends to a
+basis B whose vertex lies on all of S, with S not inside B; conversely B
+and such a column are n+1 hyperplanes through one point.  So each vertex is
+solved once and the other columns are tested by an integer dot product,
+and a failure names the fundamental circuit of the column in B, read off
+the bases.
+
+The space spanned by the lowest-degree parts of the point exponentials
 interpolates any function on the vertex set uniquely.  That least space is
 read off the Taylor matrix of the exponentials, truncated at the first
 degree where the matrix has full rank (de Boor and Ron's least
@@ -32,7 +41,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .config import Config, bases, independents, rank_of
+from .config import Config, bases, independents, set_to_mask
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -55,34 +64,13 @@ class Arrangement:
     vertices: tuple  # ((basis frozenset, point tuple), ...) in basis order
 
 
-def _simplicity_witness(c: Config, aug) -> tuple | None:
-    """First set of hyperplanes meeting in too small a codimension, if any.
-
-    `aug` holds the integer rows [x | offset_x].  A set S is fine when the
-    system <x_s, u> = offset_s is either inconsistent or has solution set of
-    codimension exactly #S.  Sets of size n+1 can never be fine while
-    consistent, so checking sizes up to n+1 certifies simplicity of the
-    whole arrangement.
-    """
-    n = c.n
-    for size in range(2, min(c.ncols, n + 1) + 1):
-        for subset in itertools.combinations(range(c.ncols), size):
-            # independent rows make any right-hand side consistent with
-            # codimension #S, so only dependent subsets need the offsets
-            r_plain = rank_of(c, frozenset(subset))
-            if r_plain < size:
-                if len(echelon([aug[j] for j in subset], n + 1)) == r_plain:
-                    return subset
-    return None
-
-
 def make_arrangement(c: Config, offsets=None, seed: int = 0) -> Arrangement:
     """Build the arrangement, sampling any missing offsets until simple.
 
     `offsets` may be None (use the offsets stored on the configuration,
     sampling whatever they leave open), or a sequence with None holes; the
-    fixed entries are kept verbatim.  A fully fixed non-simple vector raises
-    NotSimple immediately instead of burning retries.
+    fixed entries are kept verbatim.  A witness circuit whose offsets are
+    all fixed raises NotSimple at once, since no sample can change it.
     """
     if offsets is None:
         offsets = list(c.lam) if c.lam is not None else [None] * c.ncols
@@ -96,18 +84,17 @@ def make_arrangement(c: Config, offsets=None, seed: int = 0) -> Arrangement:
     holes = [i for i, v in enumerate(fixed) if v is None]
 
     rng = random.Random(seed)
-    tries = MAX_SAMPLING_TRIES if holes else 1
-    for _ in range(tries):
+    for _ in range(MAX_SAMPLING_TRIES):
         lam = list(fixed)
         for i in holes:
             lam[i] = Fraction(rng.randint(1, 1000 * c.ncols * (i + 1)))
         aug = [_integer_row(x + (v,)) for x, v in zip(c.columns, lam)]
-        witness = _simplicity_witness(c, aug)
+        vertices, witness = _vertices(c, aug)
         if witness is None:
-            return _finish_arrangement(c, tuple(lam), aug)
-    if holes:
-        raise SamplingExhausted(tries)
-    raise NotSimple(witness)
+            return Arrangement(config=c, offsets=tuple(lam), vertices=vertices)
+        if all(fixed[j] is not None for j in witness):
+            raise NotSimple(witness)
+    raise SamplingExhausted(MAX_SAMPLING_TRIES)
 
 
 def _solve_vertex(rows, n: int) -> tuple | None:
@@ -120,23 +107,32 @@ def _solve_vertex(rows, n: int) -> tuple | None:
     return tuple([Fraction(row[n], row[i]) for i, row in enumerate(basis)])
 
 
-def _finish_arrangement(c: Config, lam: tuple, aug) -> Arrangement:
+def _vertices(c: Config, aug) -> tuple:
+    """(((basis, vertex), ...) in basis order, None) for a simple
+    arrangement, else (None, witness circuit).
+
+    `aug` holds the integer rows [x | offset_x].  Each basis vertex is
+    solved once; written as q / D with D the lcm of its denominators, it
+    lies on the hyperplane of column j exactly when aug_j . (q, -D) = 0.
+    The first column j outside a basis B through its vertex gives the
+    witness, the fundamental circuit of j in B: j and the b in B for which
+    B - b + j is a basis.
+    """
     verts = []
-    seen = {}
     for b in bases(c):
         cols = sorted(b)
         point = _solve_vertex([aug[j] for j in cols], c.n)
         if point is None:
             raise ConsistencyError(f"basis {cols} gave a singular vertex system")
-        if point in seen:
-            # two bases sharing a vertex means too many hyperplanes through it
-            raise ConsistencyError(
-                f"bases {sorted(seen[point])} and {cols} share a vertex "
-                "in an arrangement that passed the simplicity check"
-            )
-        seen[point] = b
+        den = lcm(*[x.denominator for x in point])
+        h = [x.numerator * (den // x.denominator) for x in point] + [-den]
+        for j in range(c.ncols):
+            if j not in b and not sum(map(mul, aug[j], h)):
+                masks = {set_to_mask(s) for s in bases(c)}
+                swap = set_to_mask(b) | (1 << j)
+                return None, (j, *[i for i in cols if swap ^ (1 << i) in masks])
         verts.append((b, point))
-    return Arrangement(config=c, offsets=lam, vertices=tuple(verts))
+    return tuple(verts), None
 
 
 def vertex_set(arr: Arrangement, basis_family) -> tuple:

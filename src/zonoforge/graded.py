@@ -228,13 +228,14 @@ def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
     return GradedSubspace(n, tuple(comps))
 
 
-def hilbert_quotient(gens: IdealGens, cap: int = 40) -> tuple:
+def hilbert_quotient(gens: IdealGens, cap: int) -> tuple:
     """Hilbert function of (full ring)/(ideal), stopping at the first zero.
 
     Once a quotient component vanishes every later one does too (the ideal
     component then contains variable multiples of a full component), so the
-    values are returned up to the first zero.  NoStabilization if the cap is
-    reached first.
+    values are returned up to the first zero.  NoStabilization if no degree
+    up to `cap` is full; a configuration's ideals take
+    `zonotopal.stabilization_cap`.
     """
     ideal = Ideal(gens)
     values = []

@@ -485,17 +485,16 @@ def test_exit_2_when_kind_lacks_its_field(tmp_path, capsys):
     assert "input error:" in err
 
 
-def test_exit_1_on_certificate_failure(tmp_path, capsys):
-    # equal fixed offsets on a doubled column can never become simple
-    doc = write_doc(
-        tmp_path,
-        {"matrix": [["1", "1", "0"], ["0", "0", "1"]], "lambda": ["1", "1", None]},
-    )
-    code = main(["verify", "--input", doc, "--theorem", "pi"])
+def test_exit_1_on_certificate_failure(tmp_path, capsys, monkeypatch):
+    # a quotient Hilbert function one degree too long: the central bundle's
+    # cross-check of its three Hilbert functions fails
+    doc = write_doc(tmp_path, {"matrix": [["1", "0", "1"], ["0", "1", "1"]]})
+    real = zonotopal.hilbert_quotient
+    monkeypatch.setattr(zonotopal, "hilbert_quotient", lambda gens, cap: real(gens, cap) + (1,))
+    code = main(["space", "--input", doc, "--kind", "central"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("certificate failure:")
-    assert "SamplingExhausted" in err
+    assert err.startswith("certificate failure: ConsistencyError: central: Hilbert functions disagree")
 
 
 def test_exit_2_on_fixed_non_simple_offsets(tmp_path, capsys):
@@ -506,6 +505,19 @@ def test_exit_2_on_fixed_non_simple_offsets(tmp_path, capsys):
     code = main(["verify", "--input", doc, "--theorem", "pi"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_exit_2_on_a_fixed_circuit_beside_a_hole(tmp_path, capsys):
+    # equal fixed offsets on a doubled column can never become simple, so
+    # the hole beside them is never sampled
+    doc = write_doc(
+        tmp_path,
+        {"matrix": [["1", "1", "0"], ["0", "0", "1"]], "lambda": ["1", "1", None]},
+    )
+    code = main(["verify", "--input", doc, "--theorem", "pi"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: arrangement is not simple: hyperplanes [0, 1]")
 
 
 def test_search_default_window_examines_configurations(tmp_path, capsys):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hpoly_oracle import as_hpoly, as_row, evaluate
 from test_linalg import det, reference_rank, reference_rref as rref, subset_rows
-from zonoforge.config import Config, bases, independents, make_config
+from zonoforge import geometry
+from zonoforge.config import Config, bases, independents, make_config, rank_of
 from zonoforge.errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -22,7 +23,6 @@ from zonoforge.errors import (
     UnknownBasis,
 )
 from zonoforge.geometry import (
-    _simplicity_witness,
     is_unimodular,
     least_space,
     make_arrangement,
@@ -31,7 +31,7 @@ from zonoforge.geometry import (
     zonotope_lattice,
 )
 from zonoforge.graded import GradedSubspace
-from zonoforge.linalg import _integer_row, frac, matrix
+from zonoforge.linalg import frac, matrix
 from zonoforge.poly import HPoly, monomials, multi_factorial
 
 
@@ -45,7 +45,7 @@ def test_vertices_of_the_example(ex25):
         (one, -one, one),
         (-one, one, one),
     }
-    assert _simplicity_witness(arr.config, augmented_rows(arr.config, arr.offsets)) is None
+    assert reference_simplicity_witness(arr.config, arr.offsets) is None
     assert len(arr.vertices) == len(bases(ex25))
 
 
@@ -78,28 +78,84 @@ def test_sampling_is_seed_deterministic():
 
 def test_sampling_cannot_fix_parallel_equal_offsets():
     # two copies of a column with equal fixed offsets stay concurrent no
-    # matter what the sampled entries do
+    # matter what the sampled entries do, so the first witness ends it
     c = make_config([[1, 1, 0], [0, 0, 1]], lam=[1, 1, None])
+    with pytest.raises(NotSimple) as info:
+        make_arrangement(c)
+    assert info.value.witness == (0, 1)
+    # with the hole inside that circuit, a sample separates the copies
+    arr = make_arrangement(c, [1, None, 1])
+    assert arr.offsets[1] != 1
+    assert reference_simplicity_witness(c, arr.offsets) is None
+
+
+def test_sampling_gives_up_after_its_tries(monkeypatch):
+    # every sample meets a witness through a hole, which no real offsets
+    # do for long: sampling stops after MAX_SAMPLING_TRIES
+    c = make_config([[1, 0, 1], [0, 1, 1]], lam=[1, None, None])
+    tried = []
+    monkeypatch.setattr(geometry, "_vertices", lambda c, aug: tried.append(aug) or (None, (0, 1, 2)))
     with pytest.raises(SamplingExhausted):
         make_arrangement(c)
+    assert len(tried) == geometry.MAX_SAMPLING_TRIES
+    assert len({tuple(aug[1]) for aug in tried}) > 1
 
 
-def augmented_rows(c: Config, offsets) -> list:
-    """The integer rows [x | offset_x] that make_arrangement hands on."""
-    return [_integer_row(x + (frac(v),)) for x, v in zip(c.columns, offsets)]
+def test_simplicity_asks_the_rank_cache_nothing():
+    # K4 with the identity appended (X u B0): sampled offsets, then a fixed
+    # vector that puts e1, e2 and e1 - e2 through the origin
+    c = Config(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1))
+               + ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    bases(c)
+    calls = rank_of.cache_info()
+    assert len(make_arrangement(c).vertices) == len(bases(c))
+    with pytest.raises(NotSimple) as info:
+        make_arrangement(c, [0, 0, 1, 0, 2, 3, 4, 5, 6])
+    assert info.value.witness == (0, 1, 3)
+    after = rank_of.cache_info()
+    assert (after.hits, after.misses) == (calls.hits, calls.misses)
 
 
 def reference_simplicity_witness(c: Config, offsets) -> tuple | None:
-    """The earlier check: plain and augmented rank of every subset."""
+    """The earlier check: plain and augmented rank of every subset, here
+    skipping subsets with a hole (None offset), which sampling can fix."""
     n = c.n
     for size in range(2, min(c.ncols, n + 1) + 1):
         for subset in itertools.combinations(range(c.ncols), size):
+            if any(offsets[j] is None for j in subset):
+                continue
             rows = [c.columns[j] for j in subset]
-            aug = [row + (offsets[j],) for row, j in zip(rows, subset)]
+            aug = [row + (frac(offsets[j]),) for row, j in zip(rows, subset)]
             r_plain = reference_rank(rows)
             if reference_rank(aug) == r_plain and r_plain < size:
                 return subset
     return None
+
+
+def check_simplicity(c: Config, offsets) -> bool:
+    """make_arrangement raises NotSimple exactly when the oracle finds a
+    witness among the fixed offsets; its witness is then a circuit with
+    fixed, consistent offsets, and otherwise the sampled arrangement is
+    simple with one vertex per basis.  True when NotSimple was raised."""
+    expected = reference_simplicity_witness(c, offsets)
+    try:
+        arr = make_arrangement(c, offsets)
+    except NotSimple as exc:
+        assert expected is not None
+        w = exc.witness
+        rows = [c.columns[j] for j in w]
+        assert all(offsets[j] is not None for j in w)
+        aug = [row + (frac(offsets[j]),) for row, j in zip(rows, w)]
+        assert reference_rank(aug) == reference_rank(rows) == len(w) - 1
+        assert all(reference_rank(rows[:k] + rows[k + 1:]) == len(w) - 1 for k in range(len(w)))
+        return True
+    assert expected is None
+    assert reference_simplicity_witness(c, arr.offsets) is None
+    assert [b for b, _ in arr.vertices] == list(bases(c))
+    for b, point in arr.vertices:
+        for j in b:
+            assert sum(x * u for x, u in zip(c.columns[j], point)) == arr.offsets[j]
+    return False
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -114,9 +170,52 @@ def test_simplicity_witness_matches_two_eliminations(seed):
             cols.append(v)
     c = Config(tuple(cols))
     for _ in range(6):
-        offsets = tuple(Fraction(rng.randint(0, 2)) for _ in cols)
-        witness = _simplicity_witness(c, augmented_rows(c, offsets))
-        assert witness == reference_simplicity_witness(c, offsets)
+        check_simplicity(c, tuple(Fraction(rng.randint(0, 2)) for _ in cols))
+
+
+@st.composite
+def arrangements(draw):
+    """A configuration with rational, repeated and scaled columns, n = 1..3,
+    sometimes extended by a b0 basis as X u B0, and offsets in 0..2 with
+    holes."""
+    n = draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2, 3)))
+    cols = []
+    for _ in range(draw(st.integers(1, 6 - n))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "scale"]))
+        if cols and kind != "fresh":
+            v = draw(st.sampled_from(cols))
+            k = Fraction(1) if kind == "repeat" else draw(entry.filter(bool))
+            cols.append(tuple(k * x for x in v))
+        else:
+            cols.append(draw(st.tuples(*[entry] * n).filter(any)))
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    if draw(st.booleans()):
+        cols += units  # X u B0 with b0 the identity, as Config.extended() builds it
+    else:
+        for u in units:
+            if reference_rank(cols) == n:
+                break
+            cols.append(u)
+    offset = st.one_of(st.none(), st.integers(0, 2).map(Fraction))
+    offsets = draw(st.lists(offset, min_size=len(cols), max_size=len(cols)))
+    return Config(tuple(cols)), tuple(offsets)
+
+
+def test_simplicity_witness_matches_two_eliminations_hypothesis():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(arrangements())
+    def check(case):
+        c, offsets = case
+        seen.add((c.n, check_simplicity(c, offsets), None in offsets))
+
+    check()
+    # the draws reach both verdicts, n = 1, and a fixed circuit beside a hole
+    assert {n for n, _, _ in seen} == {1, 2, 3}
+    assert {v for _, v, _ in seen} == {True, False}
+    assert any(v and hole for _, v, hole in seen)
 
 
 def test_explicit_offsets_override(triangle):

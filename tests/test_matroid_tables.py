@@ -207,15 +207,20 @@ def test_tables_match_the_earlier_routes_hypothesis(c, seed):
     check_tables(c, random.Random(seed))
 
 
-def test_facets_rank_no_set_inside_a_found_hyperplane(monkeypatch):
+def test_facets_solve_one_normal_per_hyperplane(monkeypatch):
     # five columns on the plane z = 0, then e3: after the first pair every
-    # pair of plane columns is skipped, and only the pairs with e3 remain
+    # pair of plane columns is skipped, and only the pairs with e3 remain,
+    # so each of the six hyperplanes costs one nullspace and no rank test
     c = Config(((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (2, 1, 0), (0, 0, 1)))
-    ranked = []
-    real = config.rank_of
-    monkeypatch.setattr(config, "rank_of", lambda c, cols: ranked.append(cols) or real(c, cols))
+    solved = []
+    real = config.integer_nullspace
+    monkeypatch.setattr(
+        config, "integer_nullspace", lambda rows, n: solved.append(rows) or real(rows, n)
+    )
+    monkeypatch.setattr(config, "rank_of", None)
     assert config.facets.__wrapped__(c) == reference_facets(c)
-    assert ranked == [frozenset({0, 1})] + [frozenset({x, 5}) for x in range(5)]
+    pairs = [(0, 1)] + [(x, 5) for x in range(5)]
+    assert solved == [[c._ints[a], c._ints[b]] for a, b in pairs]
 
 
 def test_integer_rows_scale_each_column_by_its_denominators():
@@ -262,14 +267,18 @@ def test_derived_configs_start_with_an_empty_table():
 
 
 def test_the_coloop_mask_is_found_once_and_deletions_validate_nothing(monkeypatch):
+    # the mask is the AND of the basis masks: once the bases are known it
+    # eliminates nothing, and once found it is kept
     c = Config(K4 + ((1, 1, 1),))
-    assert [is_coloop(c, x) for x in range(c.ncols)] == [False] * c.ncols
+    config.bases(c)
 
     def refuse(*args, **kwargs):
         raise AssertionError("re-derived from the Fraction columns")
 
-    for name in ("echelon", "_integer_row", "frac"):
+    for name in ("echelon", "_integer_row", "frac", "rank_of"):
         monkeypatch.setattr(config, name, refuse)
+    assert [is_coloop(c, x) for x in range(c.ncols)] == [False] * c.ncols
+    monkeypatch.setattr(config, "bases", refuse)
     assert not any(is_coloop(c, x) for x in range(c.ncols))
     for x in range(c.ncols):
         child = _delete(c, x)
