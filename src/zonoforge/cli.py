@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 from . import __version__
@@ -33,7 +34,7 @@ from .config import (
 )
 from .errors import InputError, ZonoforgeError
 from .graded import kernel
-from .poly import HPoly
+from .poly import monomials
 from .verify import BATTERIES, run_theorem, search_internal_extension
 from .zonotopal import bundle_for
 
@@ -151,10 +152,34 @@ def _echo(c: Config, meta) -> dict:
 
 
 def _render(nvars: int, poly) -> str:
-    """The text of a (degree, integer row, denominator) polynomial: the one
-    place an HPoly is made."""
+    """The text of a (degree, integer row, denominator) polynomial.
+
+    Terms follow the graded-lex monomials, joined by " + " and " - ".  A
+    coefficient is row entry / denominator in lowest terms, printed as p or
+    p/q before "*" and the variables (t1^2*t3), and left out when it is 1
+    and there are variables; the zero polynomial is "0".
+    """
     d, row, den = poly
-    return HPoly.from_coeff_vector(nvars, d, [Fraction(x, den) for x in row]).render()
+    text = ""
+    for exp, x in zip(monomials(nvars, d), row):
+        if not x:
+            continue
+        g = gcd(x, den)
+        num, q = abs(x) // g, den // g
+        mag = str(num) if q == 1 else f"{num}/{q}"
+        variables = "*".join([f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in enumerate(exp) if e])
+        if not variables:
+            body = mag
+        elif mag == "1":
+            body = variables
+        else:
+            body = f"{mag}*{variables}"
+        if text:
+            text += " - " if x < 0 else " + "
+        elif x < 0:
+            text = "-"
+        text += body
+    return text or "0"
 
 
 def _render_ideal(gens) -> list:

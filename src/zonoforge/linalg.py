@@ -1,13 +1,22 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on dense and sparse integer rows.
 
-Elimination runs on Python ints.  `_eliminate` is the one kernel: rows are
-integer, reduced fraction-free, and every pivot row is primitive with a
-positive pivot.  Two integer interfaces read it: echelon() returns the
-non-reduced integer echelon, for callers that only need ranks and pivot
-rows, and canonical() the reduced one sorted by pivot column, a basis of
-the row space that the space alone determines (each RREF row scaled to
-coprime integers), so two row spaces are equal iff their canonical bases
-are identical tuples; integer_nullspace() gives a kernel in that form.
+Elimination runs on Python ints.  `_eliminate` is the one dense kernel:
+rows are integer, reduced fraction-free, and every pivot row is primitive
+with a positive pivot.  Three integer interfaces read it: echelon() returns
+the non-reduced integer echelon, for callers that only need ranks and
+pivot rows (configuration ranks, least spaces, certificates), canonical()
+the reduced one sorted by pivot column, a basis of the row space that the
+space alone determines (each RREF row scaled to coprime integers), so two
+row spaces are equal iff their canonical bases are identical tuples, and
+integer_nullspace() a kernel in that form.
+
+sparse_echelon() is the one sparse kernel, for rows with few nonzeros among
+many columns: the Macaulay rows of an ideal component (graded.Ideal, its
+membership test and the stacked ranks of direct_sum_certificate).  A row
+is a {column: int} dict and the echelon a {lead column: row} dict, the
+lead being the row's smallest column; a row is cleared at every pivot
+column it meets, in column order, with the update, the content division
+and the pivot's sign of `_eliminate`.
 
 No Fraction is eliminated: callers scale their rows with `_integer_row`
 (which changes no rank) or build them from ints; a canonical row's RREF
@@ -18,6 +27,7 @@ floats enter anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
@@ -157,3 +167,64 @@ def integer_nullspace(rows, ncols: int) -> tuple:
         basis.append(v)
     return canonical(basis, ncols)
 
+
+def sparse_echelon(rows, ncols: int, start=None) -> dict:
+    """Non-reduced integer echelon of sparse rows, extending `start`.
+
+    Rows are {column: int} dicts with no zero entries, consumed lazily and
+    left unchanged; `start` is an earlier result, which is copied, never
+    modified.  Returns {lead column: primitive row with a positive lead},
+    the lead being the row's smallest column.  A row is cleared at each of
+    its columns where a pivot row leads, in increasing column order (a heap
+    of those columns), with the fraction-free update of `_eliminate` and
+    its content division after a scaling update.  The pivot row at c is
+    zero before c, so clearing c only touches later columns, and what is
+    left is zero in every pivot column: it vanished, or its smallest column
+    is a new lead.  Clearing every pivot column, not only the lead, keeps
+    the rows sparse and their entries small.  Stops once there are ncols
+    pivot rows.
+    """
+    pivots = dict(start) if start else {}
+    for row in rows:
+        row = dict(row)
+        todo = [c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)
+            f = row.get(col)
+            if f is None:
+                continue
+            prow = pivots[col]
+            p = prow[col]
+            h = gcd(p, f)
+            a, b = p // h, f // h
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, y in prow.items():
+                x = row.get(c)
+                if x is None:
+                    row[c] = -b * y
+                    if c in pivots:
+                        heappush(todo, c)
+                else:
+                    x -= b * y
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+            if a != 1 and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+        if not row:
+            continue
+        lead = min(row)
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {c: x // g for c, x in row.items()}
+        pivots[lead] = row
+        if len(pivots) == ncols:
+            break
+    return pivots

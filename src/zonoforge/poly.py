@@ -2,15 +2,16 @@
 
 Below the CLI a polynomial is a (degree, integer row, denominator) tuple:
 the row lists integer coefficients over monomials(n, degree) and the
-polynomial is row / denominator.  `perp_space_gens` here,
-config.subset_polynomial and zonotopal.facet_powers produce them, and
-graded reads them.
+polynomial is row / denominator, a positive int.  `perp_space_gens` here,
+config.subset_polynomial and zonotopal.facet_powers produce them, graded
+reads them, and the CLI writes their text straight from the tuple.
 
-HPoly is the render type: a dict mapping exponent tuples (one entry per
-variable) to nonzero Fraction coefficients, together with the variable
-count.  All monomials in one HPoly share the same total degree; the zero
-polynomial is the empty dict and reports degree 0.  Only the CLI makes
-one, to render a report; its arithmetic is the tests' independent oracle.
+HPoly is a dict mapping exponent tuples (one entry per variable) to
+nonzero Fraction coefficients, together with the variable count.  All
+monomials in one HPoly share the same total degree; the zero polynomial is
+the empty dict and reports degree 0.  The package makes none: its dict
+arithmetic is the tests' independent oracle, and the benchmark's tracer
+counts calls of `HPoly.__mul__`.
 
 The fixed monomial order everywhere in the package is graded lexicographic:
 degree first, then exponent tuples compared lexicographically in descending
@@ -135,10 +136,6 @@ class HPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "HPoly") -> "HPoly":
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
@@ -177,48 +174,13 @@ class HPoly:
         return hash((self.nvars, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
-        return f"HPoly({self.render()})"
+        return f"HPoly({self.nvars}, {self.coeffs!r})"
 
     # -- conversions -------------------------------------------------------
 
     def coeff_vector(self) -> tuple:
         """Coefficients over monomials(nvars, degree)."""
         return tuple(self.coeffs.get(m, Fraction(0)) for m in monomials(self.nvars, self.degree))
-
-    @classmethod
-    def from_coeff_vector(cls, nvars: int, degree: int, vec) -> "HPoly":
-        mons = monomials(nvars, degree)
-        if len(vec) != len(mons):
-            raise DimensionMismatch("coefficient vector has the wrong length")
-        return cls(nvars, dict(zip(mons, vec)))
-
-    def render(self) -> str:
-        """Canonical text form, terms in graded-lex order, rationals as p/q."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exp in monomials(self.nvars, self.degree):
-            c = self.coeffs.get(exp)
-            if c is None:
-                continue
-            vars_part = "*".join(
-                f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}"
-                for i, e in enumerate(exp)
-                if e > 0
-            )
-            mag = abs(c)
-            if not vars_part:
-                body = str(mag)
-            elif mag == 1:
-                body = vars_part
-            else:
-                body = f"{mag}*{vars_part}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
 
 
 def perp_space_gens(nvars: int, span_rows, degree: int) -> list:

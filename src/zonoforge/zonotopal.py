@@ -15,8 +15,8 @@ power-ideal quotient, primal-space dimensions -- agrees, and the primal
 dimension is the member count.  It raises ConsistencyError otherwise: the
 artifact is its own theorem checker.
 
-Polynomials are (degree, integer row, denominator) tuples (see poly); only
-the CLI makes HPolys.
+Polynomials are (degree, integer row, denominator) tuples (see poly), all
+the way into the CLI's rendered text.
 Every spanning set (the central, full and family-short spaces, the
 passive-set spans and the r37 patch) spans products p_Y read from the
 configuration's subset-product table (`_span`), and the q_basis and cover

@@ -4,12 +4,15 @@ Verbatim copies of the GradedSubspace dataclass, intersect, add, contains,
 direct_sum_certificate and the diff_apply kernel as they were while every
 component was stored as Fraction RREF rows.  Their row reductions are bound
 to the dense Fraction Gauss-Jordan loop of test_linalg, so these subspaces
-share no elimination code with the integer ones they check.  The
-certificate still reads the integer Ideal, which test_graded checks against
-its all-multiples oracle.  The kernel reads the library's (degree, integer
-row, denominator) generators through `as_hpoly`.  `integer_contains`
-applies `contains` to integer subspaces through `fraction_space`: the
-library has no containment test of its own.
+share no elimination code with the integer ones they check.  `Ideal` is
+graded.Ideal as it was while its Macaulay rows were dense integer lists
+reduced by linalg.echelon, before they became sparse rows for
+linalg.sparse_echelon; the certificate reads it, and test_graded checks it
+against the sparse Ideal, which the all-multiples oracle checks too.  The
+kernel reads the library's (degree, integer row, denominator) generators
+through `as_hpoly`.  `integer_contains` applies `contains` to integer
+subspaces through `fraction_space`: the library has no containment test of
+its own.
 
 `assert_canonical` states the form every integer component must have.
 """
@@ -21,15 +24,15 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from hpoly_oracle import as_hpoly, diff_apply
+from hpoly_oracle import as_hpoly, diff_apply, from_coeff_vector, is_zero
 from test_linalg import primitive_integer
 from test_linalg import reference_nullspace as nullspace
 from test_linalg import reference_row_basis as row_basis
 from test_linalg import reference_rref as rref
 from zonoforge.errors import DimensionMismatch
-from zonoforge.graded import Ideal, IdealGens, component_dim
+from zonoforge.graded import IdealGens, component_dim
 from zonoforge.linalg import echelon
-from zonoforge.poly import HPoly, monomials
+from zonoforge.poly import HPoly, _shifts, monomials
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class GradedSubspace:
     def from_spanning(cls, nvars: int, polys) -> "GradedSubspace":
         by_degree: dict = {}
         for p in polys:
-            if p.is_zero:
+            if is_zero(p):
                 continue
             by_degree.setdefault(p.degree, []).append(p.coeff_vector())
         return cls.from_components(nvars, by_degree)
@@ -87,8 +90,72 @@ class GradedSubspace:
         out = []
         for d, basis in self.comps:
             for row in basis:
-                out.append(HPoly.from_coeff_vector(self.nvars, d, row))
+                out.append(from_coeff_vector(self.nvars, d, row))
         return tuple(out)
+
+
+class Ideal:
+    """Graded components of the ideal that an IdealGens generates.
+
+    Components are built on demand, lowest degree first, and kept as integer
+    echelons over monomials(nvars, d).  full_degree is the first degree whose
+    component is everything (None until one is found); no component past it
+    is built.
+    """
+
+    def __init__(self, gens: IdealGens):
+        self.nvars = gens.nvars
+        self._gens: dict = {}  # degree -> integer coefficient rows
+        for d, row, _ in gens.gens:
+            self._gens.setdefault(d, []).append(row)
+        self._echelons: list = []  # degree -> [(pivot column, int row), ...]
+        self.full_degree = None
+
+    def is_full(self, d: int) -> bool:
+        self._build(d)
+        return self.full_degree is not None and d >= self.full_degree
+
+    def dim(self, d: int) -> int:
+        if self.is_full(d):
+            return component_dim(self.nvars, d)
+        return len(self._echelons[d])
+
+    def pivots(self, d: int) -> list:
+        """The kept (pivot column, int row) pairs of a component up to the
+        full degree, in the form linalg.echelon extends."""
+        self._build(d)
+        return self._echelons[d]
+
+    def __contains__(self, p: tuple) -> bool:
+        d, row, _ = p
+        if self.is_full(d):
+            return True
+        return len(echelon([row], component_dim(self.nvars, d), self._echelons[d])) == self.dim(d)
+
+    def _build(self, top: int) -> None:
+        n = self.nvars
+        while self.full_degree is None and len(self._echelons) <= top:
+            d = len(self._echelons)
+            size = component_dim(n, d)
+            rows = list(self._gens.get(d, ()))
+            prev = self._echelons[-1] if d else ()
+            if prev:
+                shifts = _shifts(n, d - 1)
+                for _, b in prev:
+                    support = [(j, v) for j, v in enumerate(b) if v]
+                    for shift in shifts:
+                        row = [0] * size
+                        for j, v in support:
+                            row[shift[j]] = v
+                        rows.append(row)
+            # sparsest rows first keeps the pivot rows sparse and small: on
+            # the external ideal of a 5 x 8 configuration the entries reach
+            # 132 bits in the order built and 10 bits sorted, 30x less work
+            rows.sort(key=lambda r: len(r) - r.count(0))
+            found = echelon(rows, size) if rows else []
+            self._echelons.append(found)
+            if len(found) == size:
+                self.full_degree = d
 
 
 def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:

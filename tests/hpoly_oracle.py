@@ -15,6 +15,10 @@ pairing that the Gram check used before it paired integer rows, and
 `reference_ideal_gens` is `IdealGens.make` as it was while it keyed
 generators by their rendered text.  `as_row` and `as_hpoly` convert
 between HPoly and the library's (degree, integer row, denominator) format.
+
+`render`, `from_coeff_vector` and `is_zero` are the former HPoly members
+of those names, the text the reports printed before `cli._render` wrote
+it from the tuple; they are the oracle that renderer is checked against.
 """
 
 from __future__ import annotations
@@ -29,6 +33,46 @@ from zonoforge.linalg import frac, matrix
 from zonoforge.poly import HPoly, monomials, multi_factorial
 
 
+def is_zero(p: HPoly) -> bool:
+    return not p.coeffs
+
+
+def from_coeff_vector(nvars: int, degree: int, vec) -> HPoly:
+    mons = monomials(nvars, degree)
+    if len(vec) != len(mons):
+        raise DimensionMismatch("coefficient vector has the wrong length")
+    return HPoly(nvars, dict(zip(mons, vec)))
+
+
+def render(p: HPoly) -> str:
+    """Canonical text form, terms in graded-lex order, rationals as p/q."""
+    if is_zero(p):
+        return "0"
+    parts = []
+    for exp in monomials(p.nvars, p.degree):
+        c = p.coeffs.get(exp)
+        if c is None:
+            continue
+        vars_part = "*".join(
+            f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}"
+            for i, e in enumerate(exp)
+            if e > 0
+        )
+        mag = abs(c)
+        if not vars_part:
+            body = str(mag)
+        elif mag == 1:
+            body = vars_part
+        else:
+            body = f"{mag}*{vars_part}"
+        parts.append(("-" if c < 0 else "+", body))
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
 def as_row(p: HPoly) -> tuple:
     """p as (degree, integer row, denominator): its coefficient vector
     times the lcm of the denominators, over that lcm."""
@@ -40,7 +84,7 @@ def as_row(p: HPoly) -> tuple:
 def as_hpoly(nvars: int, poly) -> HPoly:
     """The HPoly of a (degree, integer row, denominator) tuple."""
     d, row, den = poly
-    return HPoly.from_coeff_vector(nvars, d, [Fraction(x, den) for x in row])
+    return from_coeff_vector(nvars, d, [Fraction(x, den) for x in row])
 
 
 def pair(p: HPoly, q: HPoly) -> Fraction:
@@ -60,9 +104,9 @@ def reference_ideal_gens(polys) -> tuple:
     that text."""
     uniq = {}
     for p in polys:
-        if p.is_zero:
+        if is_zero(p):
             continue
-        uniq[(p.degree, p.render())] = p
+        uniq[(p.degree, render(p))] = p
     return tuple(uniq[k] for k in sorted(uniq))
 
 

@@ -10,16 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from zonoforge import __version__, config, linalg, zonotopal
-from zonoforge.cli import USAGE, _family, _parse_argv, main, parse_document
+from zonoforge import __version__, config, graded, linalg, zonotopal
+from zonoforge.cli import USAGE, _parse_argv, main, parse_document
 from zonoforge.errors import InputError
 from zonoforge.poly import HPoly
-from zonoforge.verify import THEOREMS, run_theorem
-from zonoforge.zonotopal import bundle_for
+from zonoforge.verify import THEOREMS
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+KINDS = ("central", "external", "semi_external", "semi_internal")
 
 
 def write_doc(tmp_path, payload):
@@ -278,11 +278,13 @@ def test_golden_reports(tmp_path, capsys, golden_name, argv):
 
 
 def test_every_elimination_runs_on_int_rows(tmp_path, monkeypatch):
-    """No Fraction reaches the elimination kernel: every row that `verify`
-    hands to `linalg._eliminate`, for every theorem on every document, and
-    every pivot row it extends, holds ints only."""
+    """No Fraction reaches either elimination kernel: every row that
+    `verify` hands to `linalg._eliminate` or `graded.Ideal` hands to
+    `linalg.sparse_echelon`, for every theorem on every document, and every
+    pivot row they extend, holds ints only."""
     real = linalg._eliminate
-    seen = []
+    real_sparse = graded.sparse_echelon
+    seen, seen_sparse = [], []
 
     def guarded(rows, ncols, reduced, pivots=()):
         rows = [list(r) for r in rows]
@@ -292,26 +294,38 @@ def test_every_elimination_runs_on_int_rows(tmp_path, monkeypatch):
         seen.append(len(rows))
         return real(rows, ncols, reduced, pivots)
 
+    def guarded_sparse(rows, ncols, start=None):
+        rows = [dict(r) for r in rows]
+        for row in rows + list((start or {}).values()):
+            bad = [x for x in row.values() if type(x) is not int]
+            assert not bad, f"non-int entries {bad[:3]} in a sparse elimination row"
+        seen_sparse.append(len(rows))
+        return real_sparse(rows, ncols, start)
+
     # cached results would hide the eliminations that built them
     for mod in (config, zonotopal):
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
     monkeypatch.setattr(linalg, "_eliminate", guarded)
+    monkeypatch.setattr(graded, "sparse_echelon", guarded_sparse)
     out = tmp_path / "report.json"
     for doc in sorted(INPUTS.glob("*.json")):
         for theorem in THEOREMS:
             argv = ["verify", "--input", str(doc), "--theorem", theorem, "--output", str(out)]
             assert main(argv) == 0
-    assert sum(seen) > 0
+    assert sum(seen) > 0 and sum(seen_sparse) > 0
     with pytest.raises(AssertionError, match="non-int"):
         linalg.echelon([[linalg.frac("1/2"), 1]], 2)
+    with pytest.raises(AssertionError, match="non-int"):
+        graded.sparse_echelon([{0: linalg.frac("1/2")}], 1)
 
 
 def test_no_hpoly_below_the_cli(tmp_path, monkeypatch):
-    """Below the CLI a polynomial is a (degree, integer row, denominator)
-    tuple: every theorem battery and every bundle kind, on every document,
-    makes no HPoly.  The CLI makes them, to render a report."""
+    """A polynomial is a (degree, integer row, denominator) tuple all the
+    way into the report: every theorem battery, every bundle kind with its
+    rendered cover-ideal kernel and the matroid report, on every document,
+    make no HPoly; `cli._render` writes the text from the tuple."""
     made = []
     real = HPoly.__init__
 
@@ -325,17 +339,17 @@ def test_no_hpoly_below_the_cli(tmp_path, monkeypatch):
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
     monkeypatch.setattr(HPoly, "__init__", counting)
+    out = str(tmp_path / "report.json")
+    runs = 0
     for doc in sorted(INPUTS.glob("*.json")):
-        c, meta = parse_document(json.loads(doc.read_text(encoding="utf-8")))
-        fam, i_set = _family(c, meta), frozenset(meta["i"])
-        for theorem in THEOREMS:
-            assert run_theorem(theorem, c, fam=fam, i_set=i_set, seed=meta["seed"])["passed"]
-        for kind in ("central", "external", "semi_external", "semi_internal"):
-            bundle_for(c, kind, fam, i_set)
+        argvs = [["verify", "--theorem", theorem] for theorem in THEOREMS]
+        argvs += [["space", "--kind", kind, "--dmax", "3"] for kind in KINDS]
+        argvs.append(["matroid"])
+        for argv in argvs:
+            assert main(argv + ["--input", str(doc), "--output", out]) == 0
+            runs += 1
+    assert runs == len(list(INPUTS.glob("*.json"))) * (len(THEOREMS) + len(KINDS) + 1)
     assert made == []
-    argv = ["space", "--input", str(INPUTS / "triangle.json"), "--kind", "central"]
-    assert main(argv + ["--output", str(tmp_path / "report.json")]) == 0
-    assert made
 
 
 def test_reports_parse_and_carry_the_envelope():

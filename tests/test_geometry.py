@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpoly_oracle import as_hpoly, as_row, evaluate
+from hpoly_oracle import as_hpoly, as_row, evaluate, from_coeff_vector
 from test_linalg import det, reference_rank, reference_rref as rref, subset_rows
 from zonoforge import geometry
 from zonoforge.config import Config, bases, independents, make_config, rank_of
@@ -32,7 +32,7 @@ from zonoforge.geometry import (
 )
 from zonoforge.graded import GradedSubspace
 from zonoforge.linalg import frac, matrix
-from zonoforge.poly import HPoly, monomials, multi_factorial
+from zonoforge.poly import monomials, multi_factorial
 
 
 def test_vertices_of_the_example(ex25):
@@ -387,7 +387,7 @@ def reference_least_space(points, extra: int = 0) -> GradedSubspace:
     for row, piv in zip(reduced, pivots):
         d = block_of[piv]
         lo, hi = offsets[d]
-        leasts.append(HPoly.from_coeff_vector(nvars, d, row[lo:hi]))
+        leasts.append(from_coeff_vector(nvars, d, row[lo:hi]))
     space = GradedSubspace.from_spanning(nvars, map(as_row, leasts))
     if space.dim() != len(pts):
         raise ConsistencyError(

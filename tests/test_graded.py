@@ -9,11 +9,12 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graded_oracle import assert_canonical, integer_contains
-from hpoly_oracle import as_hpoly, as_row, reference_ideal_gens
+import graded_oracle
+from graded_oracle import assert_canonical, fraction_space, integer_contains
+from hpoly_oracle import as_hpoly, as_row, reference_ideal_gens, render
 from test_linalg import monic, reference_nullspace as nullspace, reference_rank
 from zonoforge import graded
 from zonoforge.cli import _render_ideal, parse_document
@@ -401,6 +402,13 @@ def _nonzero(gens: IdealGens) -> IdealGens:
     return IdealGens(gens.nvars, tuple(g for g in gens.gens if any(g[1])))
 
 
+def _dense(row: dict, size: int) -> list:
+    out = [0] * size
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
 def _assert_ideal_matches_oracle(gens: IdealGens, dmax: int):
     ideal = Ideal(gens)
     nonzero = _nonzero(gens)
@@ -411,7 +419,8 @@ def _assert_ideal_matches_oracle(gens: IdealGens, dmax: int):
         if ideal.is_full(d):
             assert ref == _unit_rows(component_dim(gens.nvars, d))
         else:
-            assert row_basis(r for _, r in ideal.pivots(d)) == ref
+            size = component_dim(gens.nvars, d)
+            assert row_basis(_dense(r, size) for r in ideal.pivots(d).values()) == ref
     expected = reference_hilbert_quotient(nonzero, dmax)
     if expected is None:
         with pytest.raises(NoStabilization):
@@ -460,7 +469,7 @@ def _assert_make_matches_render_keys(nvars: int, polys, rows) -> None:
     got = IdealGens.make(nvars, rows)
     want = reference_ideal_gens(polys)
     assert tuple(as_hpoly(nvars, g) for g in got.gens) == tuple(sorted(want, key=lambda p: as_row(p)))
-    assert _render_ideal(got) == [p.render() for p in want]
+    assert _render_ideal(got) == [render(p) for p in want]
     assert list(got.gens) == sorted(set(got.gens))
     for d, row, den in got.gens:
         assert any(row) and den > 0 and gcd(den, *row) == 1
@@ -599,13 +608,13 @@ def test_bundle_ideals_match_all_multiples_oracle(document_bundles):
 def test_direct_sum_certificate_stops_eliminating_at_the_full_degree(monkeypatch):
     g = gens_of(2, [(2, 0), (0, 2)])  # full from degree 3 on
     widths = []
-    real = graded.echelon
+    real = graded.sparse_echelon
 
-    def counting(rows, ncols, start=()):
+    def counting(rows, ncols, start=None):
         widths.append(ncols)
         return real(rows, ncols, start)
 
-    monkeypatch.setattr(graded, "echelon", counting)
+    monkeypatch.setattr(graded, "sparse_echelon", counting)
     cert = direct_sum_certificate(kernel(g, 2), g, dmax=30)
     assert cert["passed"] and len(cert["degrees"]) == 31
     assert cert["degrees"][30] == {
@@ -621,3 +630,92 @@ def test_direct_sum_certificate_stops_eliminating_at_the_full_degree(monkeypatch
     # (4 monomials in 2 variables) is the last one eliminated
     assert max(widths) == component_dim(2, 3)
     assert len(widths) == 5
+
+
+# -- the sparse Ideal against the dense one it replaced -------------------------
+
+
+@st.composite
+def _drawn_poly(draw, nvars: int, degree: int) -> tuple:
+    """A (degree, integer row, denominator) tuple with many zero entries."""
+    size = component_dim(nvars, degree)
+    row = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=size, max_size=size))
+    return degree, tuple(row), draw(st.integers(1, 4))
+
+
+@st.composite
+def _drawn_gens(draw) -> IdealGens:
+    """1-4 variables and up to four generators of mixed degrees 1-3, with
+    repeats and sometimes a constant; built directly, so repeats and zero
+    rows reach the Ideal."""
+    nvars = draw(st.integers(1, 4))
+    polys = [draw(_drawn_poly(nvars, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(0, 4)))]
+    if polys and draw(st.booleans()):
+        polys += draw(st.lists(st.sampled_from(polys), min_size=1, max_size=2))
+    if draw(st.integers(0, 7)) == 0:
+        polys.append(draw(_drawn_poly(nvars, 0)))
+    return IdealGens(nvars, tuple(draw(st.permutations(polys))))
+
+
+def _multiple(rng, nvars: int, g: tuple, d: int) -> tuple:
+    """A monomial of degree d - deg g times g, scaled: a member of the ideal."""
+    m = rng.choice(monomials(nvars, d - g[0]))
+    return as_row((HPoly.monomial(nvars, m, rng.choice((1, -2, 3))) * as_hpoly(nvars, g)))
+
+
+def _assert_sparse_matches_dense(gens: IdealGens, dmax: int, rng) -> None:
+    """Dimensions, full degree, membership and direct-sum certificates of the
+    sparse Ideal equal those of the dense oracle."""
+    n = gens.nvars
+    sparse, dense = Ideal(gens), graded_oracle.Ideal(gens)
+    for d in range(dmax + 1):
+        assert (sparse.dim(d), sparse.is_full(d)) == (dense.dim(d), dense.is_full(d))
+    assert sparse.full_degree == dense.full_degree
+    members = [as_row(_random_poly(rng, n, rng.randint(0, dmax))) for _ in range(3)]
+    for g in gens.gens:
+        d = rng.randint(g[0], dmax) if g[0] <= dmax else None
+        if d is not None and any(g[1]):
+            p = _multiple(rng, n, g, d)
+            members.append(p)
+            q = as_hpoly(n, p) + _random_poly(rng, n, d).scale(rng.choice((0, 1)))
+            if q.coeffs:
+                members.append(as_row(q))
+    for p in members:
+        assert (p in sparse) == (p in dense)
+    top = rng.randint(0, dmax)
+    for p in (kernel(_nonzero(gens), top), random_space(rng, n, top, rng.randint(1, 2))):
+        for cap in (None, dmax):
+            assert direct_sum_certificate(p, gens, cap) == graded_oracle.direct_sum_certificate(
+                fraction_space(p), gens, cap
+            )
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(gens=_drawn_gens(), dmax=st.integers(0, 5), rng=st.randoms(use_true_random=False))
+@example(gens=IdealGens(2, ()), dmax=3, rng=random.Random(1))
+@example(gens=IdealGens(3, ((0, (2,), 3), (2, (1, 0, 0, -1, 0, 0), 1))), dmax=4, rng=random.Random(2))
+@example(gens=IdealGens(1, ((2, (3,), 1), (2, (3,), 1), (1, (-1,), 2))), dmax=4, rng=random.Random(3))
+def test_sparse_ideal_matches_the_dense_one(gens, dmax, rng):
+    _assert_sparse_matches_dense(gens, dmax, rng)
+
+
+# draw_base(5, 8, (0, 1), 3) of the benchmark's algebra ladder, written out
+LADDER_5X8 = (
+    (0, 0, 1, 0, 0, 1, 1, 0),
+    (0, 1, 1, 1, 1, 1, 0, 1),
+    (1, 1, 1, 0, 0, 1, 0, 1),
+    (1, 0, 0, 0, 1, 1, 0, 1),
+    (0, 0, 0, 0, 1, 0, 1, 1),
+)
+
+
+def test_external_ideal_of_a_5_by_8_configuration():
+    unit = tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
+    bundle = bundle_for(Config(tuple(zip(*LADDER_5X8)), b0=unit), "external")
+    hilbert = (1, 5, 15, 35, 61, 55, 28, 8, 1)
+    assert bundle.hilbert_valuation == bundle.hilbert_algebraic == bundle.p_space.hilbert() == hilbert
+    sparse, dense = Ideal(bundle.i_ideal), graded_oracle.Ideal(bundle.i_ideal)
+    dims = [sparse.dim(d) for d in range(len(hilbert) + 1)]
+    assert dims == [dense.dim(d) for d in range(len(hilbert) + 1)]
+    assert dims == [component_dim(5, d) - h for d, h in enumerate(hilbert + (0,))]
+    assert sparse.full_degree == dense.full_degree == len(hilbert)

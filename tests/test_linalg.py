@@ -19,6 +19,7 @@ from zonoforge.linalg import (
     frac,
     integer_nullspace,
     matrix,
+    sparse_echelon,
 )
 
 
@@ -240,6 +241,7 @@ def assert_matches_reference(m, ncols, rhs=None):
         augmented = [_integer_row(tuple(r) + (b,)) for r, b in zip(m, rhs)]
         assert _solve_vertex(augmented, len(m)) == reference_solve_square(m, rhs)
     assert_echelon_matches_reference(m, ncols)
+    assert_sparse_echelon_matches_reference(m, ncols)
 
 
 def assert_echelon_matches_reference(m, ncols):
@@ -256,6 +258,39 @@ def assert_echelon_matches_reference(m, ncols):
             assert row[c] > 0 and not any(row[:c])
             assert all(row[p] == 0 for p, _ in found[:k])
         assert monic(canonical([r for _, r in found], ncols)) == reference_row_basis(m)
+
+
+def assert_sparse_echelon_matches_reference(m, ncols):
+    """sparse_echelon() on the integer-scaled rows as {column: int} dicts, in
+    one go and as an extension of an echelon of the first half, spans the
+    reference row space; each pivot row is primitive, keyed by its smallest
+    column, positive there and zero at the leads found before it, and no
+    input row or start is modified."""
+    rows = [{c: x for c, x in enumerate(_integer_row(r)) if x} for r in m]
+    copies = [dict(r) for r in rows]
+    start = sparse_echelon(rows[: len(rows) // 2], ncols)
+    kept = {c: dict(r) for c, r in start.items()}
+    extended = sparse_echelon(rows[len(rows) // 2 :], ncols, start)
+    assert rows == copies and start == kept and start.items() <= extended.items()
+    for found in (sparse_echelon(rows, ncols), extended):
+        assert len(found) == len(reference_rref(m)[1])
+        dense, earlier = [], []
+        for lead, row in found.items():
+            assert lead == min(row) and row[lead] > 0 and 0 not in row.values()
+            assert gcd(*row.values()) == 1 and not any(c in row for c in earlier)
+            earlier.append(lead)
+            dense.append([row.get(c, 0) for c in range(ncols)])
+        assert monic(canonical(dense, ncols)) == reference_row_basis(m)
+
+
+def test_sparse_echelon_stops_at_full_rank():
+    rows = iter([{0: 2, 1: -4}, {1: 3}, {0: 1, 2: 5}])
+    assert sparse_echelon(rows, 2) == {0: {0: 1, 1: -2}, 1: {1: 1}}
+    assert next(rows) == {0: 1, 2: 5}
+    start = {0: {0: 1}}
+    got = sparse_echelon([{0: 3}], 1, start)
+    assert got == start and got is not start
+    assert sparse_echelon([{0: -6, 3: 4}, {0: 3, 3: -2}, {}], 4) == {0: {0: 3, 3: -2}}
 
 
 def random_matrix(rng, nrows, ncols):
