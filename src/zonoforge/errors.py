@@ -73,11 +73,6 @@ class NotSimple(InputError):
         )
 
 
-class SamplingExhausted(ZonoforgeError):
-    def __init__(self, tries: int):
-        super().__init__(f"no simple offset vector found after {tries} samples")
-
-
 class DuplicatePoints(InputError):
     def __init__(self, point):
         super().__init__(f"point set contains a repeated point {point}")

@@ -47,14 +47,11 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoints,
     NotSimple,
-    SamplingExhausted,
     UnknownBasis,
 )
 from .graded import GradedSubspace
 from .linalg import _integer_row, canonical, echelon, frac
 from .poly import monomials, multi_factorial
-
-MAX_SAMPLING_TRIES = 100
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,8 @@ class Arrangement:
 
 
 def make_arrangement(c: Config, offsets=None, seed: int = 0) -> Arrangement:
-    """Build the arrangement, sampling any missing offsets until simple.
+    """Build the arrangement, filling any missing offsets from one seeded
+    draw, shifted until the arrangement is simple.
 
     `offsets` may be None (use the offsets stored on the configuration,
     sampling whatever they leave open), or a sequence with None holes; the
@@ -84,17 +82,23 @@ def make_arrangement(c: Config, offsets=None, seed: int = 0) -> Arrangement:
     holes = [i for i, v in enumerate(fixed) if v is None]
 
     rng = random.Random(seed)
-    for _ in range(MAX_SAMPLING_TRIES):
+    drawn = [Fraction(rng.randint(1, 1000 * c.ncols * (i + 1))) for i in holes]
+    # Try t = 0, 1, 2, ..., hole k at drawn_k + t^(k+1); t = 0 is the draw.
+    # A witness circuit C is concurrent exactly when sum a_i offset_i = 0
+    # over its one dependency a, every a_i nonzero.  Through a hole that sum
+    # is a nonzero polynomial in t of degree <= #holes, so each such circuit
+    # is a witness for finitely many t, and then a circuit with all offsets
+    # fixed is the witness, or there is none: the loop ends.
+    for t in itertools.count():
         lam = list(fixed)
-        for i in holes:
-            lam[i] = Fraction(rng.randint(1, 1000 * c.ncols * (i + 1)))
+        for k, i in enumerate(holes):
+            lam[i] = drawn[k] + t ** (k + 1)
         aug = [_integer_row(x + (v,)) for x, v in zip(c.columns, lam)]
         vertices, witness = _vertices(c, aug)
         if witness is None:
             return Arrangement(config=c, offsets=tuple(lam), vertices=vertices)
         if all(fixed[j] is not None for j in witness):
             raise NotSimple(witness)
-    raise SamplingExhausted(MAX_SAMPLING_TRIES)
 
 
 def _solve_vertex(rows, n: int) -> tuple | None:

@@ -19,6 +19,8 @@ from .config import (
     independents,
     is_independent,
     normal_power_condition,
+    passive_set,
+    set_to_mask,
     valuation,
 )
 from .errors import ConsistencyError, InputError
@@ -40,6 +42,7 @@ from .graded import (
 )
 from .linalg import echelon
 from .zonotopal import (
+    _span,
     central,
     codimension_counts,
     d_space,
@@ -129,11 +132,41 @@ def _triple_hilbert_row(bundle) -> dict:
     )
 
 
-def _kernel_row(bundle) -> dict:
+def _bundle_rows(bundle, what: str, count: int) -> list:
+    """The rows every bundle battery opens with: the primal dimension
+    against the member count, the three Hilbert functions, and the primal
+    space against the power-ideal kernel."""
+    return [
+        _row(
+            f"space dimension equals the {what}",
+            bundle.dim() == count,
+            dim=bundle.dim(),
+            count=count,
+        ),
+        _triple_hilbert_row(bundle),
+        _space_row(
+            "primal space equals the power-ideal kernel",
+            bundle.p_space,
+            kernel(bundle.i_ideal, bundle.p_space.top_degree()),
+        ),
+    ]
+
+
+def _reorder_row(bundle, seed: int) -> dict:
+    """The members' passive-set products in a seeded column order span the
+    primal space, whose q_basis was read in index order.  Order perm on X
+    gives the passive sets of index order on the permuted configuration,
+    and |members| homogeneous products spanning a space of that dimension
+    are a basis whose degrees are its Hilbert function."""
+    c = bundle.config
+    perm = list(range(c.ncols))
+    random.Random(seed).shuffle(perm)
+    span = _span(c, [set_to_mask(passive_set(c, m, perm)) for m, _ in bundle.q_basis])
     return _space_row(
-        "primal space equals the power-ideal kernel",
+        "primal space is invariant under column reordering",
+        span,
         bundle.p_space,
-        kernel(bundle.i_ideal, bundle.p_space.top_degree()),
+        permutation=perm,
     )
 
 
@@ -152,16 +185,7 @@ def _verify_th1(c: Config, given, seed: int, dmax) -> list:
 
 def _verify_exzono(c: Config, given, seed: int, dmax) -> list:
     b = central(c)
-    rows = [
-        _row(
-            "space dimension equals the basis count",
-            b.dim() == len(bases(c)),
-            dim=b.dim(),
-            count=len(bases(c)),
-        ),
-        _triple_hilbert_row(b),
-        _kernel_row(b),
-    ]
+    rows = _bundle_rows(b, "basis count", len(bases(c)))
     arr = make_arrangement(c, c.lam, seed)
     pts = vertex_set(arr, bases(c))
     rows.append(
@@ -252,10 +276,6 @@ def _verify_plus(c: Config, given, seed: int, dmax) -> list:
 def _verify_basis(c: Config, given, seed: int, dmax) -> list:
     b = central(c)
     degrees_ok = all(q[0] == valuation(c, cols) for cols, q in b.q_basis)
-    rng = random.Random(seed)
-    perm = list(range(c.ncols))
-    rng.shuffle(perm)
-    permuted = Config(tuple(c.columns[j] for j in perm))
     return [
         _row(
             "one generator per basis",
@@ -270,28 +290,14 @@ def _verify_basis(c: Config, given, seed: int, dmax) -> list:
         ),
         _row("generator degree equals the basis valuation", degrees_ok),
         _triple_hilbert_row(b),
-        _space_row(
-            "primal space is invariant under column reordering",
-            central(permuted).p_space,
-            b.p_space,
-            permutation=perm,
-        ),
+        _reorder_row(b, seed),
     ]
 
 
 def _verify_explus(c: Config, given, seed: int, dmax) -> list:
     b = external(c)
-    rows = [
-        _row(
-            "space dimension equals the independent count",
-            b.dim() == len(independents(c)),
-            dim=b.dim(),
-            count=len(independents(c)),
-        ),
-        _triple_hilbert_row(b),
-        _kernel_row(b),
-        _direct_sum_row(b, dmax),
-    ]
+    rows = _bundle_rows(b, "independent count", len(independents(c)))
+    rows.append(_direct_sum_row(b, dmax))
     arr = make_arrangement(c.extended(), _extended_offsets(c), seed)
     ext_bases = [extend_basis(c, s) for s in independents(c)]
     pts = vertex_set(arr, ext_bases)
@@ -300,34 +306,14 @@ def _verify_explus(c: Config, given, seed: int, dmax) -> list:
             d_space(b), pts, "least space of the extended vertices equals the cover-ideal kernel", arr
         )
     )
-    rng = random.Random(seed)
-    perm = list(range(c.ncols))
-    rng.shuffle(perm)
-    permuted = Config(tuple(c.columns[j] for j in perm), b0=c.b0)
-    rows.append(
-        _space_row(
-            "primal space is invariant under column reordering",
-            external(permuted).p_space,
-            b.p_space,
-            permutation=perm,
-        )
-    )
+    rows.append(_reorder_row(b, seed))
     return rows
 
 
 def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
     b = semi_external(c, fam)
     fam = b.family
-    rows = [
-        _row(
-            "space dimension equals the family size",
-            b.dim() == len(fam),
-            dim=b.dim(),
-            count=len(fam),
-        ),
-        _triple_hilbert_row(b),
-        _kernel_row(b),
-    ]
+    rows = _bundle_rows(b, "family size", len(fam))
     arr = make_arrangement(c.extended(), _extended_offsets(c), seed)
     pts = vertex_set(arr, [extend_basis(c, s) for s in fam])
     d = d_space(b)
@@ -353,10 +339,9 @@ def _verify_t28(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
             witness=None if witness is None else sorted(witness),
         )
     ]
-    cap = stabilization_cap(c)
     dmax = max(
-        len(hilbert_quotient(b.i_ideal, cap=cap)),
-        len(hilbert_quotient(b.ieps_ideal, cap=cap)),
+        len(b.hilbert_algebraic),
+        len(hilbert_quotient(b.ieps_ideal, cap=stabilization_cap(c))),
     )
     if holds:
         rows.append(
@@ -387,16 +372,7 @@ def _verify_t28(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
 def _verify_t33(c: Config, i_set, seed: int, dmax) -> list:
     b = semi_internal(c, i_set)
     count = len(b.b_minus) if b.b_minus is not None else len(bases(c))
-    return [
-        _row(
-            "space dimension equals the restricted basis count",
-            b.dim() == count,
-            dim=b.dim(),
-            count=count,
-        ),
-        _triple_hilbert_row(b),
-        _kernel_row(b),
-    ]
+    return _bundle_rows(b, "restricted basis count", count)
 
 
 def _verify_t34(c: Config, i_set, seed: int, dmax) -> list:

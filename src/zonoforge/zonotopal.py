@@ -10,8 +10,8 @@ an independent set whose columns are moved last in the activity order).
 
 One assembler, `_bundle`, owns the bundle checks: the members'
 passive-set products span the primal space (central and semi-external),
-the Hilbert function computed three ways -- valuation histogram,
-power-ideal quotient, primal-space dimensions -- agrees, and the primal
+and the Hilbert function computed three ways -- valuation histogram,
+power-ideal quotient, primal-space dimensions -- agrees, so the primal
 dimension is the member count.  It raises ConsistencyError otherwise: the
 artifact is its own theorem checker.
 
@@ -240,8 +240,9 @@ def _bundle(
     With `with_q_basis` the members' passive-set products must span p_space
     and become the q_basis.  The valuation histogram of the members (in
     `order`, which the Bundle keeps), the quotient by i_gens and the
-    p_space dimensions must give one Hilbert function, and p_space one
-    dimension per member.  Each ConsistencyError starts with the kind."""
+    p_space dimensions must give one Hilbert function; the histogram counts
+    each member once, so p_space then has one dimension per member.  Each
+    ConsistencyError starts with the kind."""
     label = kind.replace("_", "-")
     q_basis = None
     if with_q_basis:
@@ -263,12 +264,6 @@ def _bundle(
         h_val=h_val,
         h_alg=h_alg,
         p_space_hilbert=h_space,
-    )
-    _check(
-        p_space.dim() == len(members),
-        f"{label}: dimension is not the member count",
-        dim=p_space.dim(),
-        members=len(members),
     )
     return Bundle(kind, c, p_space, q_basis, i_gens, j_gens, h_val, h_alg, order=order, **extra)
 

@@ -241,6 +241,10 @@ GOLDEN_RUNS = [
         ["space", "--input", str(INPUTS / "rational_b0.json"), "--kind", "semi_external"],
     ),
     (
+        "verify_basis_example25_first.json",
+        ["verify", "--input", str(INPUTS / "example25_first.json"), "--theorem", "basis"],
+    ),
+    (
         "verify_explus_rational_b0.json",
         ["verify", "--input", str(INPUTS / "rational_b0.json"), "--theorem", "explus"],
     ),

@@ -19,7 +19,6 @@ from zonoforge.errors import (
     DimensionMismatch,
     DuplicatePoints,
     NotSimple,
-    SamplingExhausted,
     UnknownBasis,
 )
 from zonoforge.geometry import (
@@ -89,16 +88,25 @@ def test_sampling_cannot_fix_parallel_equal_offsets():
     assert reference_simplicity_witness(c, arr.offsets) is None
 
 
-def test_sampling_gives_up_after_its_tries(monkeypatch):
-    # every sample meets a witness through a hole, which no real offsets
-    # do for long: sampling stops after MAX_SAMPLING_TRIES
-    c = make_config([[1, 0, 1], [0, 1, 1]], lam=[1, None, None])
+def test_a_coincident_draw_is_shifted_until_simple(monkeypatch):
+    # the draw puts column 1's hyperplane on column 0's, its copy; hole k
+    # is then shifted by t^(k+1), which separates the copies at t = 1
+    class DrawsOne:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, lo, hi):
+            return 1
+
+    c = make_config([[1, 1, 0], [0, 0, 1]], lam=[1, None, None])
+    real = geometry._vertices
     tried = []
-    monkeypatch.setattr(geometry, "_vertices", lambda c, aug: tried.append(aug) or (None, (0, 1, 2)))
-    with pytest.raises(SamplingExhausted):
-        make_arrangement(c)
-    assert len(tried) == geometry.MAX_SAMPLING_TRIES
-    assert len({tuple(aug[1]) for aug in tried}) > 1
+    monkeypatch.setattr(geometry.random, "Random", DrawsOne)
+    monkeypatch.setattr(geometry, "_vertices", lambda c, aug: tried.append(aug) or real(c, aug))
+    arr = make_arrangement(c)
+    assert [aug[1][-1] for aug in tried] == [1, 2]
+    assert arr.offsets == (1, 2, 2)
+    assert reference_simplicity_witness(c, arr.offsets) is None
 
 
 def test_simplicity_asks_the_rank_cache_nothing():

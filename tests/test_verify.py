@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
+from zonoforge import verify
+from zonoforge.cli import parse_document
+from zonoforge.config import Config, make_config
 from zonoforge.errors import InputError
-from zonoforge.verify import THEOREMS, run_theorem, search_internal_extension
+from zonoforge.verify import THEOREMS, _reorder_row, run_theorem, search_internal_extension
+from zonoforge.zonotopal import central, external
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+K4 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1))
 
 
 def test_token_list_is_fixed():
@@ -122,3 +133,86 @@ def test_search_below_threshold_is_empty():
     for max_n, max_cols in ((2, 4), (3, 3), (-1, 4), (3, -1)):
         with pytest.raises(InputError, match="empty search window"):
             search_internal_extension(max_n, max_cols)
+
+
+def _unit(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
+def _reorder_configs() -> list:
+    """The six shipped documents, K4, and seeded configurations with a
+    repeated and a negated column, each with a b0."""
+    out = [parse_document(json.loads(p.read_text()))[0] for p in sorted(INPUTS.glob("*.json"))]
+    out.append(Config(K4, b0=_unit(3)))
+    rng = random.Random(2211)
+    while len(out) < 13:
+        n = rng.choice([2, 3])
+        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        cols = [v for v in cols if any(v)]
+        cols += [cols[0], tuple(-x for x in cols[-1])] if cols else []
+        rng.shuffle(cols)
+        try:
+            out.append(Config(tuple(cols), b0=_unit(n)))
+        except InputError:  # rank deficient: draw again
+            continue
+    return out
+
+
+@pytest.mark.parametrize("build", [central, external], ids=["basis", "explus"])
+def test_reorder_row_matches_the_permuted_configuration(build, monkeypatch):
+    """The span of the passive-set products in a seeded order on X equals
+    the primal space of the permuted configuration, whose power ideal is
+    the same set of generators; the row reads as the old row did."""
+    spans = []
+
+    def recording_span(c, masks):
+        spans.append(real_span(c, masks))
+        return spans[-1]
+
+    real_span = verify._span
+    monkeypatch.setattr(verify, "_span", recording_span)
+    configs = _reorder_configs()
+    for c in configs:
+        b = build(c)
+        for seed in range(3):
+            row = _reorder_row(b, seed)
+            perm = row["permutation"]
+            permuted = build(Config(tuple(c.columns[j] for j in perm), b0=c.b0))
+            assert spans[-1] == permuted.p_space == b.p_space
+            assert permuted.i_ideal == b.i_ideal
+            assert row == {
+                "check": "primal space is invariant under column reordering",
+                "passed": True,
+                "lhs_hilbert": list(permuted.p_space.hilbert()),
+                "rhs_hilbert": list(b.p_space.hilbert()),
+                "permutation": perm,
+            }
+    assert len(spans) == 3 * len(configs)
+
+
+def test_a_wrong_passive_set_fails_the_reorder_row(ex25, monkeypatch):
+    # the bundles read config.passive_set and build as before; only the
+    # row's own route sees the empty passive sets
+    monkeypatch.setattr(verify, "passive_set", lambda c, y, order=None: frozenset())
+    for token in ("basis", "explus"):
+        rep = run_theorem(token, ex25, seed=3)
+        failed = [r["check"] for r in rep["checks"] if not r["passed"]]
+        assert failed == ["primal space is invariant under column reordering"], token
+        row = rep["checks"][-1]
+        assert row["lhs_hilbert"] == [1] and row["rhs_hilbert"] != [1]
+
+
+@pytest.mark.parametrize("token,built", [("basis", 0), ("explus", 1)])
+def test_reorder_builds_no_permuted_configuration(token, built, monkeypatch):
+    # a fresh configuration, so its X u B0 is not yet in its table
+    c = make_config([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 1]], b0_rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    real = Config.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self.columns)
+        real(self)
+
+    monkeypatch.setattr(Config, "__post_init__", counting)
+    assert run_theorem(token, c, seed=7)["passed"]
+    assert len(calls) == built

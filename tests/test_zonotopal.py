@@ -21,15 +21,11 @@ from hpoly_oracle import as_hpoly, as_row, pair
 from test_linalg import reference_rank
 from zonoforge.cli import _family, parse_document
 from zonoforge.config import (
-    SemiExternalFamily,
     bases,
-    ensure_family,
     full_family,
-    i_internal_bases,
     make_config,
     semiexternal_close,
     set_to_mask,
-    valuation_histogram,
 )
 from zonoforge.errors import (
     ColoopInI,
@@ -514,28 +510,12 @@ def test_span_disagreement_carries_both_hilbert_vectors(monkeypatch):
     assert "p_space_hilbert=(1,)" in msg
 
 
-def _first_twice(members: tuple) -> tuple:
-    return members[:1] + members
-
-
-# kind -> (its bundle on ex25 with fam2 and I = {2, 3}, the zonotopal name
-# of its primal space, and a patch that lists its first member twice)
+# kind -> (its bundle on ex25 with fam2 and I = {2, 3}, and the zonotopal
+# name of its primal space)
 BUNDLE_CASES = {
-    "central": (
-        lambda c, fam: central(c),
-        "central_space",
-        {"bases": lambda c: _first_twice(bases(c))},
-    ),
-    "semi_external": (
-        semi_external,
-        "_family_short_space",
-        {"ensure_family": lambda c, fam: SemiExternalFamily(_first_twice(ensure_family(c, fam).members))},
-    ),
-    "semi_internal": (
-        lambda c, fam: semi_internal(c, {2, 3}),
-        "deletion_intersection",
-        {"i_internal_bases": lambda c, i: _first_twice(i_internal_bases(c, i))},
-    ),
+    "central": (lambda c, fam: central(c), "central_space"),
+    "semi_external": (semi_external, "_family_short_space"),
+    "semi_internal": (lambda c, fam: semi_internal(c, {2, 3}), "deletion_intersection"),
 }
 
 
@@ -543,10 +523,9 @@ BUNDLE_CASES = {
 def test_each_bundle_check_names_its_kind_and_evidence(kind, ex25, fam2, monkeypatch):
     import zonoforge.zonotopal as zonotopal
 
-    build, space_name, repeat_first = BUNDLE_CASES[kind]
+    build, space_name = BUNDLE_CASES[kind]
     label = kind.replace("_", "-")
     h = build(ex25, fam2).hilbert_valuation
-    dim = sum(h)
 
     def message(**patches) -> str:
         with monkeypatch.context() as m:
@@ -569,12 +548,3 @@ def test_each_bundle_check_names_its_kind_and_evidence(kind, ex25, fam2, monkeyp
     else:
         assert msg.startswith(f"{label}: passive-set products fail to span the short-set space")
         assert f"p_from_q_hilbert={h!r}" in msg and "p_space_hilbert=()" in msg
-
-    # one member listed twice and counted once by the valuation histogram:
-    # the Hilbert functions agree, but the dimension is one short
-    msg = message(
-        valuation_histogram=lambda c, members, order=None: valuation_histogram(c, members[1:], order),
-        **repeat_first,
-    )
-    assert msg.startswith(f"{label}: dimension is not the member count")
-    assert f"dim={dim}" in msg and f"members={dim + 1}" in msg
