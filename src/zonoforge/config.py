@@ -9,12 +9,12 @@ ordered by sum(2^i for i in S)), which makes every listing deterministic.
 A Config keeps its columns as integer rows (`_ints`): each column times
 the lcm of its denominators, a nonzero scaling that changes no rank and
 no hyperplane membership, so no matroid query turns Fractions into ints.
-The rank cache (`rank_of`, at most one elimination per configuration and
-column set) answers span tests and passive sets by comparing ranks.
 `independents` extends the echelon of each independent set by one column,
 and `facets` walks the independent (n-1)-sets, skips every one inside a
 hyperplane it has already found and tests membership by an integer dot
-product.  A Config computes its hash once, so a cache lookup costs no
+product.  `rank_of` (at most one elimination per configuration and column
+set) is kept for callers that want a rank; the matroid queries below do
+not read it.  A Config computes its hash once, so a cache lookup costs no
 rehash of its entries.
 
 Each Config also carries two private tables, built at most once each:
@@ -23,12 +23,18 @@ Each Config also carries two private tables, built at most once each:
   through the mask recursion p_Y = p_{Y - max Y} * l_{max Y}, so every
   product is one multiplication of a stored one; `subset_polynomial`
   reads it, as (degree, integer row, denominator) and never as an HPoly;
-- the matroid table: the (n-1)-set -> facet map, with each facet's
-  off-hyperplane columns, which internal activity reads (no activity test
-  eliminates), the central space of each single-column deletion X - x,
-  which `zonotopal.deletion_intersection` reads, and X u B0 (`extended`),
-  whose product table and ranks give the cover generators and `extend_basis`.
-  It holds `central_space`'s own results, never an intersection.
+- the matroid table: the independence table (`_matroid`: the frozenset of
+  independent column masks and the basis masks, read off `independents`),
+  from which `is_independent`, `span_le` and `passive_set` answer by bit
+  operations (a greedy basis and one lookup per column), and the
+  fundamental cocircuit of each basis column (`_cocircuits`: the columns x
+  with B - b + x a basis), from which internal activity is one AND per
+  basis column and order (Crapo); no activity test reads a facet.  It also
+  holds the central space of each single-column deletion X - x, which
+  `zonotopal.deletion_intersection` reads, and X u B0 (`extended`), whose
+  product table gives the cover generators and whose integer b0 rows
+  `extend_basis` adds to one echelon of I.  It holds `central_space`'s own
+  results, never an intersection.
 Neither is a field (equality, hash and repr ignore them); they live and die
 with their Config, and a derived Config starts with empty ones.  The
 coloop mask, the AND of the basis masks (a coloop lies in every basis), is
@@ -46,13 +52,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import lcm
 from operator import and_, mul
 
 from .errors import (
     BadB0,
-    ConsistencyError,
     DimensionMismatch,
     FamilyNotClosed,
     InputError,
@@ -126,8 +130,9 @@ class Config:
             self, "_hash", hash((self.columns, self.b0, self.lam, self.lam_b0))
         )
         # the subset-product table (column mask -> p_Y), filled by _product,
-        # and the matroid table (the subbasis facet map, the central spaces
-        # of single-column deletions and X u B0), filled on first use
+        # and the matroid table (the independence table, the fundamental
+        # cocircuits, the central spaces of single-column deletions and
+        # X u B0), filled on first use
         object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_tables", {})
         # the coloop mask, set by _coloop_mask on first use
@@ -183,8 +188,7 @@ def rank_of(c: Config, cols: frozenset) -> int:
 
 
 def is_independent(c: Config, cols) -> bool:
-    cols = frozenset(cols)
-    return rank_of(c, cols) == len(cols)
+    return set_to_mask(frozenset(cols)) in _matroid(c)[0]
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +218,29 @@ def bases(c: Config) -> tuple:
     return tuple(s for s in independents(c) if len(s) == c.n)
 
 
+def _matroid(c: Config) -> tuple:
+    """(frozenset of the independent column masks, tuple of the basis
+    masks in basis order): the independence table, built once per Config
+    from `independents` and kept in its table.  Every matroid query below
+    reads it by bit operations and eliminates nothing."""
+    table = c._tables.get("matroid")
+    if table is None:
+        table = c._tables["matroid"] = (
+            frozenset(map(set_to_mask, independents(c))),
+            tuple(map(set_to_mask, bases(c))),
+        )
+    return table
+
+
 def span_le(c: Config, a, b) -> bool:
-    """span(columns a) contained in span(columns b), read off the rank cache."""
-    b = frozenset(b)
-    return rank_of(c, b | frozenset(a)) == rank_of(c, b)
+    """span(columns a) contained in span(columns b): a column of a lies in
+    the span exactly when it is in a greedy basis g of b or dependent on it."""
+    indep = _matroid(c)[0]
+    g = 0
+    for j in b:
+        if g | 1 << j in indep:
+            g |= 1 << j
+    return all(g >> x & 1 or g | 1 << x not in indep for x in a)
 
 
 # -- facet hyperplanes -------------------------------------------------------
@@ -305,20 +328,21 @@ def order_with_last(c: Config, i_set) -> tuple:
 def passive_set(c: Config, y, order=None) -> frozenset:
     """Columns outside y not spanned by the earlier members of y.
 
-    x is spanned exactly when adding it leaves the rank unchanged, so each
-    test compares two entries of the rank cache and eliminates nothing.
+    One walk along the order keeps a greedy basis g of the members of y
+    seen so far; a column outside y is passive exactly when g plus it is
+    independent, so each test is one lookup in the independence table.
     """
-    y = frozenset(y)
-    order = index_order(c) if order is None else tuple(order)
-    pos = {j: k for k, j in enumerate(order)}
-    out = set()
-    for x in range(c.ncols):
-        if x in y:
-            continue
-        earlier = frozenset(j for j in y if pos[j] < pos[x])
-        if rank_of(c, earlier | {x}) != rank_of(c, earlier):
-            out.add(x)
-    return frozenset(out)
+    indep = _matroid(c)[0]
+    y_mask = set_to_mask(frozenset(y))
+    g = out = 0
+    for x in index_order(c) if order is None else order:
+        bit = 1 << x
+        if g | bit in indep:
+            if y_mask & bit:
+                g |= bit
+            else:
+                out |= bit
+    return _mask_to_set(out)
 
 
 def valuation(c: Config, y, order=None) -> int:
@@ -327,53 +351,55 @@ def valuation(c: Config, y, order=None) -> int:
 
 def valuation_histogram(c: Config, family, order=None) -> tuple:
     """Counts of members by valuation, degree 0 upward."""
-    vals = [valuation(c, s, order) for s in family]
-    if not vals:
-        return ()
-    hist = [0] * (max(vals) + 1)
-    for v in vals:
+    return _histogram(valuation(c, s, order) for s in family)
+
+
+def _histogram(values) -> tuple:
+    """Counts of the nonnegative integers in values, 0 upward; () for none."""
+    hist = []
+    for v in values:
+        if v >= len(hist):
+            hist.extend([0] * (v + 1 - len(hist)))
         hist[v] += 1
     return tuple(hist)
 
 
-def _subbasis_facets(c: Config) -> dict:
-    """(n-1)-column mask -> the columns off the facet whose members contain
-    it, built once per Config and kept in its matroid table.
-
-    An independent (n-1)-set spans exactly one hyperplane, so its entry is
-    its facet's.  Dependent sets may land in any facet holding them; the
-    activity test never asks for one.
-    """
-    facet_of = c._tables.get("subbasis_facets")
-    if facet_of is None:
-        facet_of = {}
-        for f in facets(c):
-            outside = tuple(x for x in range(c.ncols) if x not in f.members)
-            for sub in combinations(sorted(f.members), c.n - 1):
-                facet_of[set_to_mask(sub)] = outside
-        c._tables["subbasis_facets"] = facet_of
-    return facet_of
+def _cocircuits(c: Config) -> tuple:
+    """For each basis B, in basis order, the pairs (b, mask of the
+    fundamental cocircuit of b): the columns x with B - b + x a basis, b
+    itself included.  Built once per Config from the independence table
+    and kept in its table."""
+    cocircuits = c._tables.get("cocircuits")
+    if cocircuits is None:
+        basis_masks = _matroid(c)[1]
+        is_basis = frozenset(basis_masks)
+        cocircuits = []
+        for mask in basis_masks:
+            pairs = []
+            for b in _mask_to_set(mask):
+                rest = mask ^ 1 << b
+                pairs.append(
+                    (b, sum(1 << x for x in range(c.ncols) if rest | 1 << x in is_basis))
+                )
+            cocircuits.append(tuple(pairs))
+        cocircuits = c._tables["cocircuits"] = tuple(cocircuits)
+    return cocircuits
 
 
 def _activity(c: Config, order) -> list:
     """(basis, mask of its internally active columns) for each basis, in
-    basis order: b is active when it is the order-largest column off the
-    hyperplane of basis - {b}, read from the subbasis facet map."""
-    pos = {j: k for k, j in enumerate(order)}
-    facet_of = _subbasis_facets(c)
+    basis order: b is active when no column of its fundamental cocircuit
+    comes after it in the order (Crapo), one AND per basis column."""
+    later = [0] * c.ncols
+    after = 0
+    for x in reversed(order):
+        later[x] = after
+        after |= 1 << x
     out = []
-    for b_set in bases(c):
-        mask = set_to_mask(b_set)
+    for b_set, pairs in zip(bases(c), _cocircuits(c)):
         active = 0
-        for b in b_set:
-            sub = mask ^ (1 << b)
-            outside = facet_of.get(sub)
-            if outside is None:
-                raise ConsistencyError(
-                    f"facet table has no hyperplane through the independent columns "
-                    f"{sorted(_mask_to_set(sub))}: columns {[list(map(str, v)) for v in c.columns]}"
-                )
-            if max(outside, key=pos.__getitem__) == b:
+        for b, cocircuit in pairs:
+            if not cocircuit & later[b]:
                 active |= 1 << b
         out.append((b_set, active))
     return out
@@ -481,7 +507,9 @@ def extend_basis(c: Config, i_set) -> frozenset:
     """Greedy completion of an independent set by the b0 vectors.
 
     Returns indices into the extended configuration: 0..N-1 for columns of X,
-    N..N+n-1 for b0 vectors, which sort after every column of X.
+    N..N+n-1 for b0 vectors, which sort after every column of X.  One
+    echelon of i_set is extended by each b0 vector in turn; a vector joins
+    when it raises the rank.
     """
     if c.b0 is None:
         raise MissingB0()
@@ -490,13 +518,16 @@ def extend_basis(c: Config, i_set) -> frozenset:
         raise NotIndependent(i_set)
     ext = c.extended()
     out = set(i_set)
-    spanning = i_set
+    # the span of "i_set plus all earlier b0 vectors" is what matters, so
+    # every earlier b0 vector stays in the echelon either way
+    ech = echelon([c._ints[i] for i in i_set], c.n)
     for j in range(c.ncols, ext.ncols):
-        if rank_of(ext, spanning | {j}) > rank_of(ext, spanning):
+        if len(ech) == c.n:
+            break
+        grown = echelon([ext._ints[j]], c.n, ech)
+        if len(grown) > len(ech):
             out.add(j)
-        # the span of "i_set plus all earlier b0 vectors" is what matters,
-        # so every earlier b0 vector joins the spanning columns either way
-        spanning = spanning | {j}
+        ech = grown
     return frozenset(out)
 
 

@@ -20,8 +20,8 @@ from .config import (
     is_independent,
     normal_power_condition,
     passive_set,
+    rank_of,
     set_to_mask,
-    valuation,
 )
 from .errors import ConsistencyError, InputError
 from .geometry import (
@@ -273,9 +273,22 @@ def _verify_plus(c: Config, given, seed: int, dmax) -> list:
     return rows
 
 
+def _valuation_by_ranks(c: Config, cols) -> int:
+    """The valuation of cols in index order, counted by ranks: x outside
+    cols is passive when it raises the rank of the members before it.
+    `passive_set` reads the independence table instead, so the basis row
+    compares two routes."""
+    count = 0
+    for x in range(c.ncols):
+        if x not in cols:
+            earlier = frozenset(j for j in cols if j < x)
+            count += rank_of(c, earlier | {x}) > rank_of(c, earlier)
+    return count
+
+
 def _verify_basis(c: Config, given, seed: int, dmax) -> list:
     b = central(c)
-    degrees_ok = all(q[0] == valuation(c, cols) for cols, q in b.q_basis)
+    degrees_ok = all(q[0] == _valuation_by_ranks(c, cols) for cols, q in b.q_basis)
     return [
         _row(
             "one generator per basis",
@@ -491,14 +504,20 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
     }
     for n in range(3, max_n + 1):
         pool = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+        # sorted column tuple -> full rank, for the previous column count:
+        # deleting a column of a sorted tuple gives one enumerated there
+        # (none before ncols = n, and n - 1 columns never span)
+        full_before: dict = {}
         for ncols in range(n, max_cols + 1):
+            full = {}
             for cols in itertools.combinations_with_replacement(pool, ncols):
                 # both skips are decided on the 0/1 columns themselves, so a
                 # skipped configuration builds no Config and no rank entries
-                if len(echelon(cols, n)) < n:
+                spans = full[cols] = len(echelon(cols, n)) == n
+                if not spans:
                     report["configs_skipped_rank"] += 1
                     continue
-                if any(len(echelon(cols[:j] + cols[j + 1:], n)) < n for j in range(ncols)):
+                if not all(full_before.get(cols[:j] + cols[j + 1:], False) for j in range(ncols)):
                     report["configs_skipped_coloop"] += 1
                     continue
                 c = Config(cols)
@@ -525,4 +544,5 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
                                 "reverified": True,
                             }
                         )
+            full_before = full
     return report

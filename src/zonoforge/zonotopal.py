@@ -48,6 +48,7 @@ from .config import (
     _activity,
     _coloop_mask,
     _delete,
+    _histogram,
     _mask_to_set,
     _product,
     SemiExternalFamily,
@@ -239,7 +240,8 @@ def _bundle(
 
     With `with_q_basis` the members' passive-set products must span p_space
     and become the q_basis.  The valuation histogram of the members (in
-    `order`, which the Bundle keeps), the quotient by i_gens and the
+    `order`, which the Bundle keeps; read off the q_basis passive sets
+    when the order is index order), the quotient by i_gens and the
     p_space dimensions must give one Hilbert function; the histogram counts
     each member once, so p_space then has one dimension per member.  Each
     ConsistencyError starts with the kind."""
@@ -255,7 +257,10 @@ def _bundle(
             p_from_q_hilbert=p_from_q.hilbert(),
             p_space_hilbert=p_space.hilbert(),
         )
-    h_val = valuation_histogram(c, members, order)
+    if with_q_basis and order is None:
+        h_val = _histogram(map(len, passive))
+    else:
+        h_val = valuation_histogram(c, members, order)
     h_alg = hilbert_quotient(i_gens, cap=stabilization_cap(c))
     h_space = p_space.hilbert()
     _check(

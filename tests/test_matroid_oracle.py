@@ -1,13 +1,14 @@
 """Matroid queries against the elimination routes they replaced.
 
-internal_bases / i_internal_bases read hyperplanes from the facet table,
-and passive_set / span_le compare entries of the rank cache.  The oracles
-below are verbatim copies of the earlier routes, which found each
-subbasis hyperplane by a nullspace normal and each span test by ranks of
-freshly built Fraction rows.  A direct definition of activity from
-ranks alone, which never reads the facet table, is a third route.  Every
-rank here comes from test_linalg's dense Fraction loop, so no oracle
-shares the library's elimination.
+internal_bases / i_internal_bases read fundamental cocircuits off the
+independence table, and is_independent / passive_set / span_le /
+extend_basis read that table or extend one echelon.  The oracles below
+are verbatim copies of the earlier routes, which found each subbasis
+hyperplane by a nullspace normal in the facet table and each span test by
+ranks of freshly built Fraction rows.  A direct definition of activity
+from ranks alone, which never reads the facet table, is a third route.
+Every rank here comes from test_linalg's dense Fraction loop, so no
+oracle shares the library's elimination.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_linalg import primitive_integer, reference_nullspace as nullspace, reference_rank, subset_rows
-from zonoforge import config
+from zonoforge import config, zonotopal
 from zonoforge.config import (
     Config,
     Facet,
     bases,
+    extend_basis,
     facets,
     i_internal_bases,
     independents,
@@ -37,8 +39,9 @@ from zonoforge.config import (
     rank_of,
     span_le,
 )
-from zonoforge.errors import ConsistencyError, NotIndependent
+from zonoforge.errors import NotIndependent
 from zonoforge.linalg import frac
+from zonoforge.zonotopal import r37_sides
 
 
 # -- the earlier routes, verbatim ---------------------------------------------
@@ -237,26 +240,103 @@ def test_matroid_queries_match_elimination_routes_hypothesis(c, seed):
     check_against_oracles(c, random.Random(seed))
 
 
-# -- the facet table is the only source of subbasis hyperplanes -------------
+# -- the table against Fraction ranks, dependent and empty sets included ------
 
 
-@pytest.mark.parametrize(
-    "query",
-    [internal_bases, lambda c: i_internal_bases(c, {2})],
-    ids=["internal_bases", "i_internal_bases"],
-)
-def test_missing_facet_is_a_consistency_error(monkeypatch, ex25, query):
-    # a fresh Config: the shared fixture may already hold its subbasis facet
-    # map, which the patched table would then never reach
-    c = Config(ex25.columns)
-    table = facets(c)
-    dropped = next(f for f in table if f.members == frozenset({0, 1}))
-    monkeypatch.setattr(config, "facets", lambda c: tuple(f for f in table if f is not dropped))
-    with pytest.raises(ConsistencyError) as info:
-        query(c)
-    msg = str(info.value)
-    assert "[0, 1]" in msg
-    assert str([list(map(str, v)) for v in c.columns]) in msg
+def greedy_extend_basis(c: Config, i_set) -> frozenset:
+    """i_set plus each b0 vector that raises the Fraction rank of i_set and
+    the b0 vectors before it."""
+    rows = subset_rows(c, i_set)
+    out = set(i_set)
+    for k, b in enumerate(c.b0):
+        if reference_rank(rows + (b,)) > reference_rank(rows):
+            out.add(c.ncols + k)
+        rows += (b,)
+    return frozenset(out)
+
+
+@st.composite
+def configs_with_b0(draw):
+    c = draw(configs())
+    n = c.n
+    b0 = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n))
+    # unit vectors replace the trailing rows until b0 is a basis
+    for k in range(n + 1):
+        rows = b0[: n - k] + [tuple(int(i == j) for j in range(n)) for i in range(n - k, n)]
+        if full_rank(rows, n):
+            return Config(c.columns, b0=tuple(rows))
+    raise AssertionError("the identity is a basis")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(configs_with_b0())
+def test_extend_basis_matches_fraction_greedy_hypothesis(c):
+    for k in range(c.ncols + 1):
+        for s in map(frozenset, itertools.combinations(range(c.ncols), k)):
+            if reference_rank(subset_rows(c, s)) == len(s):
+                assert extend_basis(c, s) == greedy_extend_basis(c, s)
+            else:
+                with pytest.raises(NotIndependent):
+                    extend_basis(c, s)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(configs(), st.randoms(use_true_random=False))
+def test_independence_and_span_on_dependent_and_empty_sets_hypothesis(c, rng):
+    subsets = [frozenset(s) for k in range(c.ncols + 1) for s in itertools.combinations(range(c.ncols), k)]
+    rank = {s: reference_rank(subset_rows(c, s)) for s in subsets}
+    for s in subsets:
+        assert is_independent(c, s) == (rank[s] == len(s))
+    dependent = [s for s in subsets if rank[s] < len(s)]
+    picks = rng.sample(dependent, min(6, len(dependent))) + [frozenset()]
+    others = rng.sample(subsets, min(6, len(subsets))) + [frozenset()]
+    for a in picks:
+        for b in others:
+            assert span_le(c, a, b) == (rank[a | b] == rank[b])
+            assert span_le(c, b, a) == (rank[a | b] == rank[a])
+
+
+# -- activity reads no facet ---------------------------------------------------
+
+
+def _r37_counts(c: Config, i_set) -> tuple:
+    _, _, n_plain, n_restricted = r37_sides(c, i_set)
+    return n_plain, n_restricted
+
+
+def _reference_r37_counts(c: Config, i_set) -> tuple:
+    order = order_with_last(c, i_set)
+    return len(reference_internal_bases(c, order)), len(reference_i_internal_bases(c, i_set))
+
+
+ACTIVITY_QUERIES = {
+    "internal_bases": (lambda c, i: internal_bases(c), lambda c, i: reference_internal_bases(c)),
+    "i_internal_bases": (i_internal_bases, reference_i_internal_bases),
+    "r37_sides": (_r37_counts, _reference_r37_counts),
+}
+
+
+@pytest.mark.parametrize("query", list(ACTIVITY_QUERIES))
+def test_activity_reads_no_facet(monkeypatch, ex25, query):
+    # the references read the facet table, so they run first; then every
+    # facet lookup raises, and the activity routes on fresh Configs (empty
+    # tables) answer all the same
+    got, ref = ACTIVITY_QUERIES[query]
+    cases = []
+    for c in [ex25] + CONFIGS:
+        if config._coloop_mask(c):
+            continue  # r37_sides needs every deletion
+        for i_set in [frozenset(), *independents(c)[-3:]]:
+            cases.append((Config(c.columns), i_set, ref(c, i_set)))
+    assert len(cases) >= 20
+
+    def refuse(c):
+        raise AssertionError("activity read the facet table")
+
+    monkeypatch.setattr(config, "facets", refuse)
+    monkeypatch.setattr(zonotopal, "facets", refuse)
+    for c, i_set, want in cases:
+        assert got(c, i_set) == want
 
 
 # -- one hash per Config --------------------------------------------------------

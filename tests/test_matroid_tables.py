@@ -3,8 +3,9 @@
 A Config keeps its columns as integer rows (each column scaled by the lcm
 of its denominators), `independents` extends the echelon of each set's
 parent by one column, `facets` skips the (n-1)-sets inside a hyperplane
-already found, and each Config keeps its subbasis facet map and the central
-spaces of its single-column deletions.  The oracles below are verbatim
+already found, and each Config keeps its independence table, its
+fundamental cocircuits and the central spaces of its single-column
+deletions.  The oracles below are verbatim
 copies of the earlier routes.  `rank_of`'s earlier body (the rank of the
 chosen Fraction columns) is inlined into `reference_independents`, so no
 oracle reads the integer rows.  The configurations mix denominators
@@ -28,8 +29,9 @@ from zonoforge import config
 from zonoforge.config import (
     Config,
     Facet,
+    _cocircuits,
     _mask_to_set,
-    _subbasis_facets,
+    _matroid,
     facets,
     i_internal_bases,
     independents,
@@ -243,7 +245,7 @@ def test_filling_the_table_leaves_equality_hash_and_repr_unchanged():
     c, twin = Config(K4), Config(K4)
     before = (hash(c), repr(c))
     _fill(c)
-    assert "subbasis_facets" in c._tables
+    assert {"matroid", "cocircuits"} <= set(c._tables)
     assert {("deletion", x) for x in range(c.ncols)} <= set(c._tables)
     assert (hash(c), repr(c)) == before
     assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
@@ -292,4 +294,38 @@ def test_the_table_holds_central_space_results_not_intersections():
     deletion_intersection(c, {0, 1})
     assert c._tables[("deletion", 0)] is central_space(_delete(c, 0))
     assert set(c._tables) == {("deletion", 0), ("deletion", 1)}
-    assert _subbasis_facets(c) is c._tables["subbasis_facets"]
+    assert _matroid(c) is c._tables["matroid"]
+    assert _cocircuits(c) is c._tables["cocircuits"]
+
+
+
+def test_matroid_queries_read_only_the_independence_table(monkeypatch):
+    # once `independents` has run, the independence, span, passive-set and
+    # activity queries eliminate nothing and solve for no facet, and
+    # extend_basis extends an echelon without asking for a rank; the
+    # answers are those of an equal Config queried before the patch
+    b0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    c, twin = Config(K4 + ((1, 1, 1),), b0=b0), Config(K4 + ((1, 1, 1),), b0=b0)
+    order = (6, 0, 5, 1, 4, 2, 3)
+    sets = [_mask_to_set(m) for m in range(1 << c.ncols)]
+
+    def ask(c):
+        return (
+            [config.is_independent(c, s) for s in sets],
+            [config.span_le(c, a, b) for a in sets[::9] for b in sets[::7]],
+            [config.passive_set(c, s, order) for s in sets],
+            internal_bases(c, order),
+            i_internal_bases(c, {0, 6}),
+            [config.extend_basis(c, s) for s in independents(c)],
+        )
+
+    want = ask(twin)
+    independents(c)
+    c.extended()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matroid query left the independence table")
+
+    for name in ("rank_of", "facets", "integer_nullspace"):
+        monkeypatch.setattr(config, name, refuse)
+    assert ask(c) == want

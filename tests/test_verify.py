@@ -10,7 +10,7 @@ import pytest
 
 from zonoforge import verify
 from zonoforge.cli import parse_document
-from zonoforge.config import Config, make_config
+from zonoforge.config import Config, make_config, passive_set
 from zonoforge.errors import InputError
 from zonoforge.verify import THEOREMS, _reorder_row, run_theorem, search_internal_extension
 from zonoforge.zonotopal import central, external
@@ -200,6 +200,30 @@ def test_a_wrong_passive_set_fails_the_reorder_row(ex25, monkeypatch):
         assert failed == ["primal space is invariant under column reordering"], token
         row = rep["checks"][-1]
         assert row["lhs_hilbert"] == [1] and row["rhs_hilbert"] != [1]
+
+
+def test_a_wrong_rank_count_fails_only_the_valuation_row(ex25, monkeypatch):
+    # the generator degrees come from the independence table and the count
+    # from ranks; a count off by one for a single basis is seen by that row
+    real = verify._valuation_by_ranks
+    first = central(ex25).q_basis[0][0]
+    monkeypatch.setattr(
+        verify, "_valuation_by_ranks", lambda c, cols: real(c, cols) + (cols == first)
+    )
+    rep = run_theorem("basis", ex25, seed=3)
+    failed = [r["check"] for r in rep["checks"] if not r["passed"]]
+    assert failed == ["generator degree equals the basis valuation"]
+
+
+def test_the_rank_count_is_the_valuation(ex25):
+    # every subset of the columns, against the table's passive sets, with
+    # rank_of entered on each count
+    before = verify.rank_of.cache_info()
+    for mask in range(1 << ex25.ncols):
+        cols = frozenset(j for j in range(ex25.ncols) if mask >> j & 1)
+        assert verify._valuation_by_ranks(ex25, cols) == len(passive_set(ex25, cols))
+    after = verify.rank_of.cache_info()
+    assert after.hits + after.misses > before.hits + before.misses
 
 
 @pytest.mark.parametrize("token,built", [("basis", 0), ("explus", 1)])
