@@ -83,6 +83,8 @@ def _index_list(values, where: str, ncols: int) -> list:
             raise InputError(
                 f"field {where}[{j}]: column index {x} out of range (configuration has {ncols})"
             )
+        if x in out:
+            raise InputError(f"field {where}[{j}]: repeated column index {x}")
         out.append(x)
     return out
 

@@ -14,8 +14,9 @@ and `facets` walks the independent (n-1)-sets, skips every one inside a
 hyperplane it has already found and tests membership by an integer dot
 product.  `rank_of` (at most one elimination per configuration and column
 set) is kept for callers that want a rank; the matroid queries below do
-not read it.  A Config computes its hash once, so a cache lookup costs no
-rehash of its entries.
+not read it.  A Config computes its hash once, from its integer columns
+(equal Configs have equal ones), so a cache lookup costs no rehash of its
+Fraction entries.
 
 Each Config also carries two private tables, built at most once each:
 - the subset-product table: column bitmask -> p_Y = prod_{x in Y} x as an
@@ -122,13 +123,12 @@ class Config:
     def _start_tables(self, ints) -> None:
         """Set the private attributes of a validated Config: its integer
         columns, its hash and empty tables.  None of them is a field, so
-        equality, hash and repr never see them."""
+        equality and repr never see them; the hash reads the integer
+        columns, which equal Configs share."""
         object.__setattr__(self, "_ints", ints)
-        # every cache lookup hashes its Config; hashing the Fractions each
-        # time would cost more than the lookup saves
-        object.__setattr__(
-            self, "_hash", hash((self.columns, self.b0, self.lam, self.lam_b0))
-        )
+        # every cache lookup hashes its Config, so the hash is taken once,
+        # and from the ints: hashing Fractions costs more than the lookup
+        object.__setattr__(self, "_hash", hash((ints, self.b0, self.lam, self.lam_b0)))
         # the subset-product table (column mask -> p_Y), filled by _product,
         # and the matroid table (the independence table, the fundamental
         # cocircuits, the central spaces of single-column deletions and

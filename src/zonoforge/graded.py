@@ -5,7 +5,9 @@ subspace of the homogeneous component (linalg.canonical: the reduced
 integer echelon sorted by pivot column, each row primitive with a positive
 pivot), coefficients taken over the graded-lex monomial list.  Because the
 bases are canonical, two graded subspaces are equal iff the dataclasses
-compare equal.  Sums and intersections eliminate these rows as they are.
+compare equal.  Sums and intersections eliminate these rows as they are,
+except that an intersection reads A meet A = A and A meet everything = A
+straight off the bases.
 
 Polynomials in and out are (degree, integer row, denominator) tuples (see
 poly).  Scaling a row changes no span, rank or kernel, so the rows are
@@ -265,7 +267,11 @@ def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     are a reduced echelon, so only A's rows are reduced.  The rows zero on
     the left are primitive with a positive pivot and zero in every other
     pivot column, so their right halves already are the canonical basis;
-    nothing is reduced again."""
+    nothing is reduced again.
+
+    Canonical bases are unique, so a degree whose two bases are equal, or
+    where one side is the whole component, is read off them with no
+    elimination: A meet A = A, and A meet the whole component = A."""
     if a.nvars != b.nvars:
         raise DimensionMismatch("intersection across different rings")
     comps = []
@@ -274,6 +280,12 @@ def intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
         if not basis_b:
             continue
         m = len(basis_a[0])
+        if basis_a == basis_b or len(basis_b) == m:
+            comps.append((d, basis_a))
+            continue
+        if len(basis_a) == m:
+            comps.append((d, basis_b))
+            continue
         zeros = (0,) * m
         start = [(c, v + zeros) for c, v in _pivoted(basis_b)]
         reduced = canonical((u + u for u in basis_a), 2 * m, start)

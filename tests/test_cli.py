@@ -484,6 +484,28 @@ def test_exit_2_on_unreadable_or_invalid_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc,argv,message",
+    [
+        (
+            {"matrix": [[1, 0, 1, 1], [0, 1, 1, 2]], "i": [0, 0]},
+            ["verify", "--theorem", "r37"],
+            "field i[1]: repeated column index 0",
+        ),
+        (
+            {"matrix": [[1, 0, 1, 1], [0, 1, 1, 2]], "iprime": [[1], [2, 3, 2]]},
+            ["space", "--kind", "semi_external"],
+            "field iprime[1][2]: repeated column index 2",
+        ),
+    ],
+    ids=["i", "iprime"],
+)
+def test_exit_2_on_a_repeated_column_index(tmp_path, capsys, doc, argv, message):
+    # not I = {0} run under an echo that says [0, 0]
+    assert main([*argv, "--input", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"matrix": [["1", "0"], ["0", "1"]], "lambda": ["1"]},

@@ -185,13 +185,14 @@ def reference_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return GradedSubspace.from_components(a.nvars, comps)
 
 
-RELATIONS = ("zero", "equal", "nested", "trivial", "random")
+RELATIONS = ("zero", "equal", "nested", "trivial", "whole", "random")
 
 
 def _component_pair(rng, nvars: int, d: int, relation: str):
     """Spanning polynomials of two degree-d components in the given relation:
     one side empty, the same space, one inside the other, meeting only in 0
-    (disjoint monomial supports), or drawn independently."""
+    (disjoint monomial supports), one side the whole component, or drawn
+    independently."""
     mons = monomials(nvars, d)
 
     def coeff():
@@ -224,6 +225,9 @@ def _component_pair(rng, nvars: int, d: int, relation: str):
             draw(left, rng.randint(1, len(left))) if left else [],
             draw(right, rng.randint(1, len(right))) if right else [],
         )
+    elif relation == "whole":
+        units = [HPoly(nvars, {m: Fraction(rng.randint(1, 3), rng.randint(1, 3))}) for m in mons]
+        pair = (ps, units + combos(ps, 1))
     else:
         pair = (ps, draw(mons, rng.randint(1, size)))
     return pair if rng.random() < 0.5 else pair[::-1]
@@ -278,6 +282,47 @@ def test_intersect_of_disjoint_supports_is_zero(seed):
     nvars = rng.randint(2, 4)
     a, b = _space_pair(rng, nvars, ["trivial"] * 4)
     assert intersect(a, b) == reference_intersect(a, b) == GradedSubspace.zero(nvars)
+
+
+def _proper_space(rng, nvars: int, degrees) -> GradedSubspace:
+    """A random nonzero proper subspace of each given component."""
+    polys = []
+    for d in degrees:
+        mons = monomials(nvars, d)
+        for _ in range(rng.randint(1, len(mons) - 1)):
+            polys.append(HPoly(nvars, {m: Fraction(rng.randint(-3, 3) or 1) for m in mons}))
+    return GradedSubspace.from_spanning(nvars, map(as_row, polys))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_intersect_eliminates_only_general_pairs(seed, monkeypatch):
+    # equal and whole components are read off the canonical bases; two
+    # distinct proper components are one Zassenhaus reduction, which the
+    # complement-route tests above still reach
+    rng = random.Random(seed)
+    nvars = rng.randint(2, 4)
+    read_off = [_space_pair(rng, nvars, [relation] * 4) for relation in ("equal", "whole")]
+    a = b = _proper_space(rng, nvars, (1, 2, 3))
+    while any(a.component(d) == b.component(d) for d in (1, 2, 3)):
+        b = _proper_space(rng, nvars, (1, 2, 3))
+    cheap = [p for x, y in read_off + [(a, a), (b, b)] for p in ((x, y), (y, x))]
+    general = [(a, b), (b, a)]
+    want = {p: reference_intersect(*p) for p in cheap + general}
+    calls = []
+    real = graded.canonical
+
+    def counting(rows, ncols, *start):
+        calls.append(ncols)
+        return real(rows, ncols, *start)
+
+    monkeypatch.setattr(graded, "canonical", counting)
+    for pair in cheap:
+        assert intersect(*pair) == want[pair]
+        assert calls == []
+    for pair in general:
+        assert intersect(*pair) == want[pair]
+        assert calls == [2 * component_dim(nvars, d) for d in (1, 2, 3)]
+        calls.clear()
 
 
 def test_intersect_rejects_different_rings():

@@ -249,3 +249,28 @@ def test_the_violation_recheck_names_a_disagreement(monkeypatch):
     assert "deletion-intersection space and power-ideal kernel disagree" in text
     assert str([list(map(str, v)) for v in c.columns]) in text
     assert f"i={sorted(i_set)}" in text
+
+
+# -- the n = 4, N = 7 counterexample --------------------------------------------
+
+# columns e4, e4, e3, e2, e2 + e3, e1, e1 + e2 with I = {2, 3, 5}: the first
+# configuration, in enumeration order, whose |I| = 3 identity fails
+COUNTEREXAMPLE = [[0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 0, 1], [0, 0, 1, 0, 1, 0, 0], [1, 1, 0, 0, 0, 0, 0]]
+
+
+def test_the_n4_counterexample_is_a_confirmed_inequality():
+    # the only input whose verdict is false: a shortcut that turned a real
+    # violation into an equality would fail here
+    i_set = frozenset({2, 3, 5})
+    # the reference first, on its own Config and with no cached central space
+    central_space.cache_clear()
+    want = reference_r37_spaces(make_config(COUNTEREXAMPLE), i_set)
+    central_space.cache_clear()
+    c = make_config(COUNTEREXAMPLE)
+    report = internal_extension_check(c, i_set)
+    assert (report["mode"], report["equal"]) == ("explore", False)
+    assert report["lhs_hilbert"] == report["rhs_hilbert"] == [1, 2, 1]
+    lhs, rhs, _, _ = r37_sides(c, i_set)
+    assert lhs != rhs
+    assert (lhs, rhs) == want
+    assert _confirm_violation(c, i_set) == (True, lhs, rhs)
