@@ -9,12 +9,12 @@ ordered by sum(2^i for i in S)), which makes every listing deterministic.
 A Config keeps its columns as integer rows (`_ints`): each column times
 the lcm of its denominators, a nonzero scaling that changes no rank and
 no hyperplane membership, so no matroid query turns Fractions into ints.
-`independents` extends the echelon of each independent set by one column,
-and `facets` walks the independent (n-1)-sets, skips every one inside a
-hyperplane it has already found and tests membership by an integer dot
-product.  `rank_of` (at most one elimination per configuration and column
-set) is kept for callers that want a rank; the matroid queries below do
-not read it.  A Config computes its hash once, from its integer columns
+The independence table extends the echelon of each independent set by one
+column, and `facets` walks the independent (n-1)-sets, skips every one
+inside a hyperplane it has already found and tests membership by an
+integer dot product.  `rank_of` (at most one elimination per configuration
+and column set) is kept for callers that want a rank; the matroid queries
+below do not read it.  A Config computes its hash once, from its integer columns
 (equal Configs have equal ones), so a cache lookup costs no rehash of its
 Fraction entries.
 
@@ -25,8 +25,9 @@ Each Config also carries two private tables, built at most once each:
   product is one multiplication of a stored one; `subset_polynomial`
   reads it, as (degree, integer row, denominator) and never as an HPoly;
 - the matroid table: the independence table (`_matroid`: the frozenset of
-  independent column masks and the basis masks, read off `independents`),
-  from which `is_independent`, `span_le` and `passive_set` answer by bit
+  independent column masks and the basis masks, built as masks;
+  `independents` and `bases` are cached frozenset views of it), from
+  which `is_independent`, `span_le` and `passive_set` answer by bit
   operations (a greedy basis and one lookup per column), and the
   fundamental cocircuit of each basis column (`_cocircuits`: the columns x
   with B - b + x a basis), from which internal activity is one AND per
@@ -39,9 +40,10 @@ Each Config also carries two private tables, built at most once each:
 Neither is a field (equality, hash and repr ignore them); they live and die
 with their Config, and a derived Config starts with empty ones.  The
 coloop mask, the AND of the basis masks (a coloop lies in every basis), is
-found once per Config and kept on it the same way.  A deletion X - x of a
-non-coloop (`_delete`) is built from its parent's normalized columns and
-integer rows, with nothing validated again.
+found once per Config and kept on it the same way.  `_from_ints` is the
+one constructor of derived Configs (a deletion X - x of a non-coloop,
+`_augment`, `extended`, the configurations the r37 search examines): it
+takes normalized columns and their integer rows and validates nothing.
 
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
@@ -156,8 +158,21 @@ class Config:
             raise MissingB0()
         ext = self._tables.get("extended")
         if ext is None:
-            ext = self._tables["extended"] = Config(self.columns + self.b0)
+            b0_ints = tuple(tuple(_integer_row(col)) for col in self.b0)
+            ext = self._tables["extended"] = _from_ints(self.columns + self.b0, self._ints + b0_ints)
         return ext
+
+
+def _from_ints(columns, ints) -> Config:
+    """Config(columns), without b0 and offsets, for normalized columns with
+    integer rows ints that the caller knows span and hold no zero column:
+    nothing is validated or converted again."""
+    c = object.__new__(Config)
+    object.__setattr__(c, "columns", columns)
+    for name in ("b0", "lam", "lam_b0"):
+        object.__setattr__(c, name, None)
+    c._start_tables(ints)
+    return c
 
 
 def make_config(matrix_rows, b0_rows=None, lam=None, lam_b0=None) -> Config:
@@ -191,45 +206,41 @@ def is_independent(c: Config, cols) -> bool:
     return set_to_mask(frozenset(cols)) in _matroid(c)[0]
 
 
+def _matroid(c: Config) -> tuple:
+    """(frozenset of the independent column masks, ascending tuple of the
+    basis masks), built once per Config and kept in its table.  A mask is a
+    candidate only when dropping its lowest column leaves an independent
+    non-basis, whose echelon is extended by that column: one reduction each.
+    Every matroid query below reads the table and eliminates nothing."""
+    table = c._tables.get("matroid")
+    if table is None:
+        masks, basis_masks = [0], []
+        echelons = {0: []}  # independent non-basis mask -> its echelon
+        for mask in range(1, 1 << c.ncols):
+            low = mask & -mask
+            prev = echelons.get(mask ^ low)
+            if prev is None:
+                continue
+            ech = echelon([c._ints[low.bit_length() - 1]], c.n, prev)
+            if len(ech) > len(prev):
+                masks.append(mask)
+                if len(ech) < c.n:
+                    echelons[mask] = ech
+                else:
+                    basis_masks.append(mask)
+        table = c._tables["matroid"] = (frozenset(masks), tuple(basis_masks))
+    return table
+
+
 @lru_cache(maxsize=None)
 def independents(c: Config) -> tuple:
-    """All independent column sets, lexicographic bitmask order.
-
-    Independence is downward closed, so a set is a candidate only when
-    dropping its lowest column leaves an independent set, whose echelon is
-    then extended by that one column: each candidate costs one reduction.
-    """
-    out = [frozenset()]
-    echelons = {0: []}  # independent mask -> its echelon, for this call only
-    for mask in range(1, 1 << c.ncols):
-        low = mask & -mask
-        prev = echelons.get(mask ^ low)
-        if prev is None:
-            continue
-        ech = echelon([c._ints[low.bit_length() - 1]], c.n, prev)
-        if len(ech) > len(prev):
-            echelons[mask] = ech
-            out.append(_mask_to_set(mask))
-    return tuple(out)
+    """All independent column sets, lexicographic bitmask order."""
+    return tuple(map(_mask_to_set, sorted(_matroid(c)[0])))
 
 
 @lru_cache(maxsize=None)
 def bases(c: Config) -> tuple:
-    return tuple(s for s in independents(c) if len(s) == c.n)
-
-
-def _matroid(c: Config) -> tuple:
-    """(frozenset of the independent column masks, tuple of the basis
-    masks in basis order): the independence table, built once per Config
-    from `independents` and kept in its table.  Every matroid query below
-    reads it by bit operations and eliminates nothing."""
-    table = c._tables.get("matroid")
-    if table is None:
-        table = c._tables["matroid"] = (
-            frozenset(map(set_to_mask, independents(c))),
-            tuple(map(set_to_mask, bases(c))),
-        )
-    return table
+    return tuple(map(_mask_to_set, _matroid(c)[1]))
 
 
 def span_le(c: Config, a, b) -> bool:
@@ -265,13 +276,10 @@ def facets(c: Config) -> tuple:
     ints = c._ints
     seen = {}
     found = []  # member masks of the hyperplanes so far
-    for sub in independents(c):
-        if len(sub) != c.n - 1:
+    for sub_mask in sorted(_matroid(c)[0]):
+        if sub_mask.bit_count() != c.n - 1 or any(sub_mask & m == sub_mask for m in found):
             continue
-        sub_mask = set_to_mask(sub)
-        if any(sub_mask & m == sub_mask for m in found):
-            continue
-        normal = integer_nullspace([ints[i] for i in sub], c.n)[0]
+        normal = integer_nullspace([ints[i] for i in _mask_to_set(sub_mask)], c.n)[0]
         members = frozenset(
             i for i, v in enumerate(ints) if not sum(map(mul, normal, v))
         )
@@ -286,7 +294,7 @@ def _coloop_mask(c: Config) -> int:
     is the AND of the basis masks."""
     mask = c._coloops
     if mask is None:
-        mask = reduce(and_, map(set_to_mask, bases(c)))
+        mask = reduce(and_, _matroid(c)[1])
         object.__setattr__(c, "_coloops", mask)
     return mask
 
@@ -303,12 +311,7 @@ def _delete(c: Config, col: int) -> Config:
     RankDeficient (rank n - 1) that Config would."""
     if is_coloop(c, col):
         raise RankDeficient(c.n - 1, c.n)
-    child = object.__new__(Config)
-    object.__setattr__(child, "columns", c.columns[:col] + c.columns[col + 1:])
-    for name in ("b0", "lam", "lam_b0"):
-        object.__setattr__(child, name, None)
-    child._start_tables(c._ints[:col] + c._ints[col + 1:])
-    return child
+    return _from_ints(c.columns[:col] + c.columns[col + 1:], c._ints[:col] + c._ints[col + 1:])
 
 
 # -- activity and valuation --------------------------------------------------
@@ -442,9 +445,6 @@ class SemiExternalFamily:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, s) -> bool:
-        return frozenset(s) in set(self.members)
 
 
 def full_family(c: Config) -> SemiExternalFamily:

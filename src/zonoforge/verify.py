@@ -13,6 +13,7 @@ import random
 
 from .config import (
     Config,
+    _from_ints,
     SemiExternalFamily,
     bases,
     extend_basis,
@@ -40,7 +41,7 @@ from .graded import (
     ideals_equal,
     kernel,
 )
-from .linalg import echelon
+from .linalg import echelon, frac
 from .zonotopal import (
     _span,
     central,
@@ -481,7 +482,9 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
     a failure of the patched-extension equality.  Finding nothing asserts
     nothing; any hit is re-verified through an independent route first.  A
     window that would examine nothing (n < 3 or fewer than 4 columns) is
-    refused, like one past the caps."""
+    refused, like one past the caps.  Each triple goes straight to
+    `r37_sides`: an examined configuration has no coloop and each triple is
+    found independent first, all that `internal_extension_check` validates."""
     if max_n > SEARCH_MAX_N or max_cols > SEARCH_MAX_COLS:
         raise InputError(
             f"search bounds capped at n<={SEARCH_MAX_N}, columns<={SEARCH_MAX_COLS}; "
@@ -504,6 +507,7 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
     }
     for n in range(3, max_n + 1):
         pool = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+        fracs = {v: tuple(map(frac, v)) for v in pool}
         # sorted column tuple -> full rank, for the previous column count:
         # deleting a column of a sorted tuple gives one enumerated there
         # (none before ncols = n, and n - 1 columns never span)
@@ -520,15 +524,16 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
                 if not all(full_before.get(cols[:j] + cols[j + 1:], False) for j in range(ncols)):
                     report["configs_skipped_coloop"] += 1
                     continue
-                c = Config(cols)
+                # spanning, zero-free 0/1 columns are their own integer rows
+                c = _from_ints(tuple(fracs[v] for v in cols), cols)
                 report["configs_examined"] += 1
                 for tri in itertools.combinations(range(ncols), 3):
                     i_set = frozenset(tri)
                     if not is_independent(c, i_set):
                         continue
                     report["triples_checked"] += 1
-                    rep = internal_extension_check(c, i_set)
-                    if rep["equal"]:
+                    lhs, rhs, _, _ = r37_sides(c, i_set)
+                    if lhs == rhs:
                         continue
                     confirmed, lhs, rhs = _confirm_violation(c, i_set)
                     if confirmed:

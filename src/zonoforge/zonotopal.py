@@ -48,6 +48,7 @@ from .config import (
     _activity,
     _coloop_mask,
     _delete,
+    _from_ints,
     _histogram,
     _mask_to_set,
     _product,
@@ -157,7 +158,10 @@ def minimal_hitting_sets(sets) -> tuple:
 
 
 def _augment(c: Config, extra_cols) -> Config:
-    return Config(c.columns + tuple(c.columns[j] for j in sorted(extra_cols)))
+    extra = sorted(extra_cols)
+    return _from_ints(
+        c.columns + tuple(c.columns[j] for j in extra), c._ints + tuple(c._ints[j] for j in extra)
+    )
 
 
 def _span(c: Config, masks) -> GradedSubspace:

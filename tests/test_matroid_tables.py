@@ -286,14 +286,16 @@ def test_the_coloop_mask_is_found_once_and_deletions_validate_nothing(monkeypatc
         child = _delete(c, x)
         assert child.columns == c.columns[:x] + c.columns[x + 1:]
         assert child._ints == c._ints[:x] + c._ints[x + 1:]
-    assert c._tables == {}  # the coloop mask is no table entry
+    # the independence table is the only entry: the coloop mask is none
+    assert set(c._tables) == {"matroid"}
 
 
 def test_the_table_holds_central_space_results_not_intersections():
     c = Config(K4)
     deletion_intersection(c, {0, 1})
     assert c._tables[("deletion", 0)] is central_space(_delete(c, 0))
-    assert set(c._tables) == {("deletion", 0), ("deletion", 1)}
+    # the coloop test of each deletion builds the independence table
+    assert set(c._tables) == {"matroid", ("deletion", 0), ("deletion", 1)}
     assert _matroid(c) is c._tables["matroid"]
     assert _cocircuits(c) is c._tables["cocircuits"]
 

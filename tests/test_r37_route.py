@@ -17,6 +17,7 @@ import pytest
 
 from zonoforge.config import (
     Config,
+    bases,
     i_internal_bases,
     independents,
     internal_bases,
@@ -209,21 +210,29 @@ def test_deletion_intersection_of_no_columns_is_the_central_space(ex25):
 # -- the violation re-check ----------------------------------------------------
 
 
-def _window_triples(step: int = 3):
-    """Every step-th coloop-free configuration of the search-r37 3/5 window
-    (0/1 columns, n = 3, five columns) with its independent triples."""
+def _window_configs() -> list:
+    """Every coloop-free configuration of the search-r37 3/5 window (0/1
+    columns, n = 3, three to five columns), built and validated by Config,
+    in the search's enumeration order."""
     pool = [v for v in itertools.product((0, 1), repeat=3) if any(v)]
     found = []
-    for cols in itertools.combinations_with_replacement(pool, 5):
-        try:
-            c = Config(cols)
-        except RankDeficient:
-            continue
-        if not any(is_coloop(c, x) for x in range(c.ncols)):
-            found.append(c)
+    for ncols in range(3, 6):
+        for cols in itertools.combinations_with_replacement(pool, ncols):
+            try:
+                c = Config(cols)
+            except RankDeficient:
+                continue
+            if not any(is_coloop(c, x) for x in range(c.ncols)):
+                found.append(c)
+    return found
+
+
+def _window_triples(step: int = 3):
+    """Every step-th coloop-free five-column configuration of the 3/5
+    window with its independent triples."""
     return [
         (c, frozenset(tri))
-        for c in found[::step]
+        for c in [c for c in _window_configs() if c.ncols == 5][::step]
         for tri in itertools.combinations(range(c.ncols), 3)
         if is_independent(c, tri)
     ]
@@ -249,6 +258,104 @@ def test_the_violation_recheck_names_a_disagreement(monkeypatch):
     assert "deletion-intersection space and power-ideal kernel disagree" in text
     assert str([list(map(str, v)) for v in c.columns]) in text
     assert f"i={sorted(i_set)}" in text
+
+
+# -- the search's own configurations and checks ----------------------------------
+
+
+def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypatch):
+    # the search builds each examined configuration by `_from_ints` and
+    # checks each triple by `r37_sides`; on the whole 3/5 window both agree
+    # with a validated Config and with `internal_extension_check`
+    built, verdicts = [], []
+    real_build, real_sides = verify._from_ints, verify.r37_sides
+
+    def build(columns, ints):
+        built.append(real_build(columns, ints))
+        return built[-1]
+
+    def sides(c, i_set):
+        out = real_sides(c, i_set)
+        verdicts.append((c, i_set, out[0] == out[1]))
+        return out
+
+    monkeypatch.setattr(verify, "_from_ints", build)
+    monkeypatch.setattr(verify, "r37_sides", sides)
+    report = verify.search_internal_extension(3, 5)
+    want = _window_configs()
+    assert len(built) == len(want) == report["configs_examined"] == 100
+    for c, ref in zip(built, want):
+        assert c == ref and hash(c) == hash(ref) and c._ints == ref._ints
+        assert (independents(c), bases(c)) == (independents(ref), bases(ref))
+    assert len(verdicts) == report["triples_checked"] == 670
+    expected = [
+        (c, frozenset(tri))
+        for c in built
+        for tri in itertools.combinations(range(c.ncols), 3)
+        if is_independent(c, tri)
+    ]
+    assert [(c, i_set) for c, i_set, _ in verdicts] == expected
+    for c, i_set, equal in verdicts:
+        assert equal == internal_extension_check(Config(c.columns), i_set)["equal"]
+
+
+def test_the_search_validates_no_examined_configuration(monkeypatch):
+    # the 0/1 columns are their own integer rows and the search has already
+    # found them spanning: no Config validation and no Fraction pass in
+    # config, and the independence table's one-column extensions are the
+    # only eliminations beside the search's rank test of each column tuple
+    from zonoforge import config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an examined configuration was validated again")
+
+    for name in ("frac", "_integer_row"):
+        monkeypatch.setattr(config, name, refuse)
+    monkeypatch.setattr(Config, "__post_init__", refuse)
+    rank_tests, extensions = [], []
+    real_rank, real_extend = verify.echelon, config.echelon
+
+    def rank_test(rows, ncols, *start):
+        rank_tests.append(len(rows))
+        return real_rank(rows, ncols, *start)
+
+    def extend(rows, ncols, *start):
+        extensions.append((len(rows), len(start)))
+        return real_extend(rows, ncols, *start)
+
+    monkeypatch.setattr(verify, "echelon", rank_test)
+    monkeypatch.setattr(config, "echelon", extend)
+    report = verify.search_internal_extension(3, 5)
+    enumerated = report["configs_examined"] + report["configs_skipped_rank"] + report["configs_skipped_coloop"]
+    assert len(rank_tests) == enumerated == 756
+    assert extensions and set(extensions) == {(1, 1)}
+
+
+def test_the_search_rechecks_exactly_the_unequal_triples(monkeypatch):
+    # a triple whose sides differ goes to the kernel re-check, and a
+    # confirmed one is reported; equal ones never reach the re-check
+    real_sides = verify.r37_sides
+    altered, rechecked = [], []
+
+    def sides(c, i_set):
+        lhs, rhs, n_plain, n_restricted = real_sides(c, i_set)
+        if not altered:  # the first triple's sides are made to differ
+            altered.append((c, i_set))
+            rhs = GradedSubspace.zero(c.n)
+        return lhs, rhs, n_plain, n_restricted
+
+    def recheck(c, i_set):
+        rechecked.append((c, i_set))
+        return True, *real_sides(c, i_set)[:2]
+
+    monkeypatch.setattr(verify, "r37_sides", sides)
+    monkeypatch.setattr(verify, "_confirm_violation", recheck)
+    report = verify.search_internal_extension(3, 4)
+    assert rechecked == altered
+    (c, i_set), = rechecked
+    (hit,) = report["violations"]
+    assert hit["i"] == sorted(i_set) and hit["reverified"] is True
+    assert hit["matrix"] == [[int(col[i]) for col in c.columns] for i in range(c.n)]
 
 
 # -- the n = 4, N = 7 counterexample --------------------------------------------

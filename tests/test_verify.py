@@ -126,6 +126,19 @@ def test_search_small_window():
     assert "note" in rep
 
 
+@pytest.mark.parametrize(
+    "window,counts",
+    [((3, 5), (100, 270, 386, 670)), ((3, 6), (447, 442, 791, 4578))],
+)
+def test_search_counts_are_pinned(window, counts):
+    # every enumerated configuration is examined or skipped once, and the
+    # examined ones carry the independent triples; no violation in either
+    rep = search_internal_extension(*window)
+    keys = ("configs_examined", "configs_skipped_rank", "configs_skipped_coloop", "triples_checked")
+    assert tuple(rep[k] for k in keys) == counts
+    assert rep["violations"] == []
+
+
 def test_search_below_threshold_is_empty():
     # no independent triple exists in the plane, and with N = n every
     # column is a coloop: such a window would examine nothing, so it is
@@ -230,13 +243,14 @@ def test_the_rank_count_is_the_valuation(ex25):
 def test_reorder_builds_no_permuted_configuration(token, built, monkeypatch):
     # a fresh configuration, so its X u B0 is not yet in its table
     c = make_config([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 1]], b0_rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    real = Config.__post_init__
+    # every Config, validated or derived by `_from_ints`, starts its tables
+    real = Config._start_tables
     calls = []
 
-    def counting(self):
+    def counting(self, ints):
         calls.append(self.columns)
-        real(self)
+        real(self, ints)
 
-    monkeypatch.setattr(Config, "__post_init__", counting)
+    monkeypatch.setattr(Config, "_start_tables", counting)
     assert run_theorem(token, c, seed=7)["passed"]
     assert len(calls) == built
