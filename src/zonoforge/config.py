@@ -18,29 +18,22 @@ below do not read it.  A Config computes its hash once, from its integer columns
 (equal Configs have equal ones), so a cache lookup costs no rehash of its
 Fraction entries.
 
-Each Config also carries two private tables, built at most once each:
+Each Config also carries two private tables:
 - the subset-product table: column bitmask -> p_Y = prod_{x in Y} x as an
   integer coefficient row and a denominator, filled on demand by `_product`
   through the mask recursion p_Y = p_{Y - max Y} * l_{max Y}, so every
   product is one multiplication of a stored one; `subset_polynomial`
   reads it, as (degree, integer row, denominator) and never as an HPoly;
-- the matroid table: the independence table (`_matroid`: the frozenset of
-  independent column masks and the basis masks, built as masks;
-  `independents` and `bases` are cached frozenset views of it), from
-  which `is_independent`, `span_le` and `passive_set` answer by bit
-  operations (a greedy basis and one lookup per column), and the
-  fundamental cocircuit of each basis column (`_cocircuits`: the columns x
-  with B - b + x a basis), from which internal activity is one AND per
-  basis column and order (Crapo); no activity test reads a facet.  It also
-  holds the central space of each single-column deletion X - x, which
-  `zonotopal.deletion_intersection` reads, and X u B0 (`extended`), whose
-  product table gives the cover generators and whose integer b0 rows
-  `extend_basis` adds to one echelon of I.  It holds `central_space`'s own
-  results, never an intersection.
+- the memo, where `per_config` stores fn(c, *args) under (fn.__name__,
+  *args): the independence table (`_matroid`, whose masks answer
+  `is_independent`, `span_le` and `passive_set`), the fundamental
+  cocircuits (`_cocircuits`: internal activity is one AND per basis column
+  and order, Crapo), `independents`, `bases`, `facets`, the coloop mask,
+  X u B0 (`extended`) and `zonotopal`'s central, internal and deletion spaces.
 Neither is a field (equality, hash and repr ignore them); they live and die
-with their Config, and a derived Config starts with empty ones.  The
-coloop mask, the AND of the basis masks (a coloop lies in every basis), is
-found once per Config and kept on it the same way.  `_from_ints` is the
+with their Config, and a derived Config starts with empty ones.  No
+module-level cache keeps a Config alive except `rank_of`'s `lru_cache`,
+whose `cache_info()` the benchmark's tracer reads.  `_from_ints` is the
 one constructor of derived Configs (a deletion X - x of a non-coloop,
 `_augment`, `extended`, the configurations the r37 search examines): it
 takes normalized columns and their integer rows and validates nothing.
@@ -54,7 +47,7 @@ the statements about I-internal bases need I to come last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from math import lcm
 from operator import and_, mul
 
@@ -70,6 +63,21 @@ from .errors import (
 )
 from .linalg import _integer_row, echelon, frac, integer_nullspace, matrix
 from .poly import _times_linear
+
+
+def per_config(fn):
+    """Memoize fn(c, *args) in c's table under (fn.__name__, *args): built
+    at most once per Config and dropped with it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memo(c, *args):
+        key = (name, *args)
+        result = c._tables.get(key)
+        if result is None:
+            result = c._tables[key] = fn(c, *args)
+        return result
+    return memo
 
 
 @dataclass(frozen=True)
@@ -132,13 +140,9 @@ class Config:
         # and from the ints: hashing Fractions costs more than the lookup
         object.__setattr__(self, "_hash", hash((ints, self.b0, self.lam, self.lam_b0)))
         # the subset-product table (column mask -> p_Y), filled by _product,
-        # and the matroid table (the independence table, the fundamental
-        # cocircuits, the central spaces of single-column deletions and
-        # X u B0), filled on first use
+        # and the per_config memo
         object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_tables", {})
-        # the coloop mask, set by _coloop_mask on first use
-        object.__setattr__(self, "_coloops", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,16 +155,14 @@ class Config:
     def ncols(self) -> int:
         return len(self.columns)
 
+    @per_config
     def extended(self) -> "Config":
         """The configuration X u B0, the b0 vectors appended after all
-        columns, built once per Config and kept in its table."""
+        columns."""
         if self.b0 is None:
             raise MissingB0()
-        ext = self._tables.get("extended")
-        if ext is None:
-            b0_ints = tuple(tuple(_integer_row(col)) for col in self.b0)
-            ext = self._tables["extended"] = _from_ints(self.columns + self.b0, self._ints + b0_ints)
-        return ext
+        b0_ints = tuple(tuple(_integer_row(col)) for col in self.b0)
+        return _from_ints(self.columns + self.b0, self._ints + b0_ints)
 
 
 def _from_ints(columns, ints) -> Config:
@@ -206,39 +208,37 @@ def is_independent(c: Config, cols) -> bool:
     return set_to_mask(frozenset(cols)) in _matroid(c)[0]
 
 
+@per_config
 def _matroid(c: Config) -> tuple:
     """(frozenset of the independent column masks, ascending tuple of the
-    basis masks), built once per Config and kept in its table.  A mask is a
-    candidate only when dropping its lowest column leaves an independent
-    non-basis, whose echelon is extended by that column: one reduction each.
-    Every matroid query below reads the table and eliminates nothing."""
-    table = c._tables.get("matroid")
-    if table is None:
-        masks, basis_masks = [0], []
-        echelons = {0: []}  # independent non-basis mask -> its echelon
-        for mask in range(1, 1 << c.ncols):
-            low = mask & -mask
-            prev = echelons.get(mask ^ low)
-            if prev is None:
-                continue
-            ech = echelon([c._ints[low.bit_length() - 1]], c.n, prev)
-            if len(ech) > len(prev):
-                masks.append(mask)
-                if len(ech) < c.n:
-                    echelons[mask] = ech
-                else:
-                    basis_masks.append(mask)
-        table = c._tables["matroid"] = (frozenset(masks), tuple(basis_masks))
-    return table
+    basis masks).  A mask is a candidate only when dropping its lowest
+    column leaves an independent non-basis, whose echelon is extended by
+    that column: one reduction each.  Every matroid query below reads the
+    table and eliminates nothing."""
+    masks, basis_masks = [0], []
+    echelons = {0: []}  # independent non-basis mask -> its echelon
+    for mask in range(1, 1 << c.ncols):
+        low = mask & -mask
+        prev = echelons.get(mask ^ low)
+        if prev is None:
+            continue
+        ech = echelon([c._ints[low.bit_length() - 1]], c.n, prev)
+        if len(ech) > len(prev):
+            masks.append(mask)
+            if len(ech) < c.n:
+                echelons[mask] = ech
+            else:
+                basis_masks.append(mask)
+    return frozenset(masks), tuple(basis_masks)
 
 
-@lru_cache(maxsize=None)
+@per_config
 def independents(c: Config) -> tuple:
     """All independent column sets, lexicographic bitmask order."""
     return tuple(map(_mask_to_set, sorted(_matroid(c)[0])))
 
 
-@lru_cache(maxsize=None)
+@per_config
 def bases(c: Config) -> tuple:
     return tuple(map(_mask_to_set, _matroid(c)[1]))
 
@@ -264,7 +264,7 @@ class Facet:
     mult: int                 # number of columns off the hyperplane
 
 
-@lru_cache(maxsize=None)
+@per_config
 def facets(c: Config) -> tuple:
     """One Facet per distinct hyperplane spanned by columns, sorted by normal.
 
@@ -288,15 +288,11 @@ def facets(c: Config) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
+@per_config
 def _coloop_mask(c: Config) -> int:
-    """Bitmask of the columns whose deletion drops the rank, found once per
-    Config and kept on it: a coloop is a column in every basis, so the mask
-    is the AND of the basis masks."""
-    mask = c._coloops
-    if mask is None:
-        mask = reduce(and_, _matroid(c)[1])
-        object.__setattr__(c, "_coloops", mask)
-    return mask
+    """Bitmask of the columns whose deletion drops the rank: a coloop is a
+    column in every basis, so the mask is the AND of the basis masks."""
+    return reduce(and_, _matroid(c)[1])
 
 
 def is_coloop(c: Config, i: int) -> bool:
@@ -367,26 +363,23 @@ def _histogram(values) -> tuple:
     return tuple(hist)
 
 
+@per_config
 def _cocircuits(c: Config) -> tuple:
     """For each basis B, in basis order, the pairs (b, mask of the
     fundamental cocircuit of b): the columns x with B - b + x a basis, b
-    itself included.  Built once per Config from the independence table
-    and kept in its table."""
-    cocircuits = c._tables.get("cocircuits")
-    if cocircuits is None:
-        basis_masks = _matroid(c)[1]
-        is_basis = frozenset(basis_masks)
-        cocircuits = []
-        for mask in basis_masks:
-            pairs = []
-            for b in _mask_to_set(mask):
-                rest = mask ^ 1 << b
-                pairs.append(
-                    (b, sum(1 << x for x in range(c.ncols) if rest | 1 << x in is_basis))
-                )
-            cocircuits.append(tuple(pairs))
-        cocircuits = c._tables["cocircuits"] = tuple(cocircuits)
-    return cocircuits
+    itself included, read off the independence table."""
+    basis_masks = _matroid(c)[1]
+    is_basis = frozenset(basis_masks)
+    cocircuits = []
+    for mask in basis_masks:
+        pairs = []
+        for b in _mask_to_set(mask):
+            rest = mask ^ 1 << b
+            pairs.append(
+                (b, sum(1 << x for x in range(c.ncols) if rest | 1 << x in is_basis))
+            )
+        cocircuits.append(tuple(pairs))
+    return tuple(cocircuits)
 
 
 def _activity(c: Config, order) -> list:

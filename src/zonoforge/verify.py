@@ -57,6 +57,7 @@ from .zonotopal import (
     semi_external,
     semi_internal,
     semi_internal_i_gens,
+    share_deletion_spaces,
     stabilization_cap,
 )
 
@@ -514,6 +515,7 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
         full_before: dict = {}
         for ncols in range(n, max_cols + 1):
             full = {}
+            shared: dict = {}  # deletion integer columns -> central space
             for cols in itertools.combinations_with_replacement(pool, ncols):
                 # both skips are decided on the 0/1 columns themselves, so a
                 # skipped configuration builds no Config and no rank entries
@@ -526,6 +528,7 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
                     continue
                 # spanning, zero-free 0/1 columns are their own integer rows
                 c = _from_ints(tuple(fracs[v] for v in cols), cols)
+                share_deletion_spaces(c, shared)
                 report["configs_examined"] += 1
                 for tri in itertools.combinations(range(ncols), 3):
                     i_set = frozenset(tri)

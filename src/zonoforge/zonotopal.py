@@ -30,16 +30,18 @@ shares no product code with the space route it checks.
 Shared routes, one owner each: `facet_powers` builds every power ideal's
 facet-normal powers; `deletion_intersection` intersects the central spaces
 of single-column deletions (the semi-internal space for I, and with every
-column the internal space), each built once per configuration and kept in
-its matroid table; `r37_sides` computes both sides of the
+column the internal space); `r37_sides` computes both sides of the
 patched-extension identity for `internal_extension_check` and for the
 re-verification in `verify`; `_check_i_set` validates an index set I.
+Every space is memoized on its Config by `config.per_config`; equal
+deletions of different configurations share one only through
+`share_deletion_spaces`, a dict the caller keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from math import factorial, prod
 from operator import mul
 
@@ -66,6 +68,7 @@ from .config import (
     normal_power_condition,
     order_with_last,
     passive_set,
+    per_config,
     set_to_mask,
     span_le,
     subset_polynomial,
@@ -188,7 +191,7 @@ def _family_short_space(c: Config, fam) -> GradedSubspace:
     return _span(c, sorted(shorts))
 
 
-@lru_cache(maxsize=None)
+@per_config
 def central_space(c: Config) -> GradedSubspace:
     """Span of the products over short subsets: Y is short exactly when
     its complement still spans, that is, misses some basis."""
@@ -337,15 +340,21 @@ def semi_internal_i_gens(c: Config, i_set) -> IdealGens:
     return IdealGens.make(c.n, gens)
 
 
+@per_config
 def _deletion_space(c: Config, x: int) -> GradedSubspace:
-    """The central space of X - x, kept in c's matroid table, so each
-    deletion is built once per configuration.  The table holds
-    `central_space`'s own result, never an intersection."""
-    key = ("deletion", x)
-    space = c._tables.get(key)
-    if space is None:
-        space = c._tables[key] = central_space(_delete(c, x))
-    return space
+    """The central space of X - x, never an intersection."""
+    return central_space(_delete(c, x))
+
+
+def share_deletion_spaces(c: Config, shared: dict) -> None:
+    """Fill c's deletion spaces from shared, keyed on each deletion's integer
+    columns (column scales do not change a space), and add those it lacks:
+    equal deletions are built once.  No column of c may be a coloop."""
+    for x in range(c.ncols):
+        key = c._ints[:x] + c._ints[x + 1:]
+        if key not in shared:
+            shared[key] = _deletion_space(c, x)
+        c._tables[("_deletion_space", x)] = shared[key]
 
 
 def deletion_intersection(c: Config, cols) -> GradedSubspace:
@@ -356,7 +365,7 @@ def deletion_intersection(c: Config, cols) -> GradedSubspace:
     return reduce(intersect, (_deletion_space(c, x) for x in sorted(cols)))
 
 
-@lru_cache(maxsize=None)
+@per_config
 def internal_space(c: Config) -> GradedSubspace:
     """Intersection of the deletion central spaces over every single column.
 

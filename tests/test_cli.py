@@ -641,17 +641,3 @@ def test_import_leaves_argparse_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
-
-
-@pytest.mark.parametrize(
-    "argv,code",
-    [
-        (["--version"], 0),
-        (["verify", "--theorem", "pi", "--dmax", "-1", "--input", str(INPUTS / "triangle.json")], 2),
-    ],
-)
-def test_module_entry_point_exit_codes(argv, code):
-    proc = subprocess.run(
-        [sys.executable, "-m", "zonoforge", *argv], capture_output=True, text=True, env=_src_env()
-    )
-    assert proc.returncode == code, proc.stderr

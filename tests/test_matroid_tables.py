@@ -5,7 +5,7 @@ of its denominators), `independents` extends the echelon of each set's
 parent by one column, `facets` skips the (n-1)-sets inside a hyperplane
 already found, and each Config keeps its independence table, its
 fundamental cocircuits and the central spaces of its single-column
-deletions.  The oracles below are verbatim
+deletions in its `per_config` memo.  The oracles below are verbatim
 copies of the earlier routes.  `rank_of`'s earlier body (the rank of the
 chosen Fraction columns) is inlined into `reference_independents`, so no
 oracle reads the integer rows.  The configurations mix denominators
@@ -14,8 +14,11 @@ within a column, so a wrong scaling changes ranks and hyperplanes.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -25,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_linalg import primitive_integer, reference_nullspace as nullspace, reference_rank, subset_rows
-from zonoforge import config
+from zonoforge import cli, config, verify, zonotopal
 from zonoforge.config import (
     Config,
     Facet,
@@ -37,6 +40,7 @@ from zonoforge.config import (
     independents,
     internal_bases,
     is_coloop,
+    per_config,
     rank_of,
 )
 from zonoforge.errors import RankDeficient
@@ -163,7 +167,7 @@ def check_deletions(c: Config) -> None:
         child, ref = _delete(c, x), Config(rest)
         assert child == ref and hash(child) == hash(ref) and repr(child) == repr(ref)
         assert child._ints == ref._ints
-        assert (child._tables, child._products, child._coloops) == ({}, {}, None)
+        assert (child._tables, child._products) == ({}, {})
 
 
 @pytest.mark.parametrize("k", range(len(CONFIGS)))
@@ -245,8 +249,9 @@ def test_filling_the_table_leaves_equality_hash_and_repr_unchanged():
     c, twin = Config(K4), Config(K4)
     before = (hash(c), repr(c))
     _fill(c)
-    assert {"matroid", "cocircuits"} <= set(c._tables)
-    assert {("deletion", x) for x in range(c.ncols)} <= set(c._tables)
+    # per_config keys each result on (function name, *args)
+    assert {("_matroid",), ("_cocircuits",)} <= set(c._tables)
+    assert {("_deletion_space", x) for x in range(c.ncols)} <= set(c._tables)
     assert (hash(c), repr(c)) == before
     assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
     assert "_tables" not in repr(c)
@@ -280,24 +285,88 @@ def test_the_coloop_mask_is_found_once_and_deletions_validate_nothing(monkeypatc
     for name in ("echelon", "_integer_row", "frac", "rank_of"):
         monkeypatch.setattr(config, name, refuse)
     assert [is_coloop(c, x) for x in range(c.ncols)] == [False] * c.ncols
-    monkeypatch.setattr(config, "bases", refuse)
+    for name in ("_matroid", "bases"):
+        monkeypatch.setattr(config, name, refuse)
     assert not any(is_coloop(c, x) for x in range(c.ncols))
     for x in range(c.ncols):
         child = _delete(c, x)
         assert child.columns == c.columns[:x] + c.columns[x + 1:]
         assert child._ints == c._ints[:x] + c._ints[x + 1:]
-    # the independence table is the only entry: the coloop mask is none
-    assert set(c._tables) == {"matroid"}
+    # the coloop mask is kept in the memo, not in an attribute of its own,
+    # and the deletions stored nothing on c
+    assert set(c._tables) == {("_matroid",), ("bases",), ("_coloop_mask",)}
+    assert not hasattr(c, "_coloops")
 
 
-def test_the_table_holds_central_space_results_not_intersections():
+def test_the_table_holds_central_space_results_not_intersections(monkeypatch):
     c = Config(K4)
+    built = []
+    real = zonotopal._family_short_space
+
+    def counting(c, fam):
+        built.append(c.ncols)
+        return real(c, fam)
+
+    monkeypatch.setattr(zonotopal, "_family_short_space", counting)
     deletion_intersection(c, {0, 1})
-    assert c._tables[("deletion", 0)] is central_space(_delete(c, 0))
-    # the coloop test of each deletion builds the independence table
-    assert set(c._tables) == {"matroid", ("deletion", 0), ("deletion", 1)}
-    assert _matroid(c) is c._tables["matroid"]
-    assert _cocircuits(c) is c._tables["cocircuits"]
+    # each deletion is built once: later meets read both from the table
+    deletion_intersection(c, {1, 0})
+    deletion_intersection(c, {0})
+    assert len(built) == 2
+    # the coloop test of each deletion builds the independence table and
+    # the coloop mask; no intersection is stored
+    assert set(c._tables) == {
+        ("_matroid",), ("_coloop_mask",), ("_deletion_space", 0), ("_deletion_space", 1)
+    }
+    assert c._tables[("_deletion_space", 0)] == central_space(_delete(c, 0))
+    assert _matroid(c) is c._tables[("_matroid",)]
+    assert _cocircuits(c) is c._tables[("_cocircuits",)]
+
+
+EXAMPLE25 = Path(__file__).resolve().parent.parent / "inputs" / "example25_first.json"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify.search_internal_extension(3, 5),
+        lambda: cli.main(["matroid", "--input", str(EXAMPLE25)]),
+    ],
+    ids=["search-r37-3-5", "matroid-example25"],
+)
+def test_no_config_outlives_the_run_that_built_it(run, monkeypatch, capsys):
+    # every Config, validated or derived by `_from_ints`, starts its tables;
+    # no module-level cache may keep one, or its tables, alive afterwards
+    refs = []
+    real = Config._start_tables
+
+    def recording(self, ints):
+        refs.append(weakref.ref(self))
+        real(self, ints)
+
+    monkeypatch.setattr(Config, "_start_tables", recording)
+    run()
+    capsys.readouterr()
+    gc.collect()
+    assert refs
+    assert sum(ref() is not None for ref in refs) == 0
+
+
+def test_per_config_keys_on_the_function_name_and_arguments():
+    calls = []
+
+    @per_config
+    def probe(c, *args):
+        calls.append(args)
+        return [c.ncols, *args]
+
+    c, twin = Config(K4), Config(K4)
+    first = probe(c, 1, 2)
+    assert probe(c, 1, 2) is first and first == [6, 1, 2]
+    assert c._tables[("probe", 1, 2)] is first
+    assert probe(c, 2, 1) == [6, 2, 1] and probe(twin, 1, 2) is not first
+    assert calls == [(1, 2), (2, 1), (1, 2)]
+    assert probe.__name__ == "probe" and twin._tables == {("probe", 1, 2): [6, 1, 2]}
 
 
 

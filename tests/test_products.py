@@ -231,7 +231,7 @@ def _assert_extended_matches_oracle(c: Config) -> None:
     """Cover generators, greedy completions and perpendicular-space
     generators of a configuration with b0 against the routes they replaced."""
     ext = c.extended()
-    assert ext is c.extended() and c._tables["extended"] is ext
+    assert ext is c.extended() and c._tables[("extended",)] is ext
     vectors = c.columns + c.b0
     for mask in range(1 << ext.ncols):
         y = _mask_to_set(mask)
@@ -269,7 +269,7 @@ def test_extended_routes_match_oracle_hypothesis(n, extra, rng):
 def test_a_config_without_b0_builds_no_extension():
     c = Config(K4)
     full_span_space(c)
-    assert "extended" not in c._tables
+    assert ("extended",) not in c._tables
 
 
 # -- facet powers against repeated HPoly multiplication ---------------------------

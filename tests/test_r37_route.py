@@ -369,11 +369,11 @@ def test_the_n4_counterexample_is_a_confirmed_inequality():
     # the only input whose verdict is false: a shortcut that turned a real
     # violation into an equality would fail here
     i_set = frozenset({2, 3, 5})
-    # the reference first, on its own Config and with no cached central space
-    central_space.cache_clear()
+    # the reference first, on its own Config: central spaces are memoized
+    # per Config, so the second, fresh one reads none of the reference's
     want = reference_r37_spaces(make_config(COUNTEREXAMPLE), i_set)
-    central_space.cache_clear()
     c = make_config(COUNTEREXAMPLE)
+    assert c._tables == {}
     report = internal_extension_check(c, i_set)
     assert (report["mode"], report["equal"]) == ("explore", False)
     assert report["lhs_hilbert"] == report["rhs_hilbert"] == [1, 2, 1]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zonoforge import verify
+from zonoforge import verify, zonotopal
 from zonoforge.cli import parse_document
 from zonoforge.config import Config, make_config, passive_set
 from zonoforge.errors import InputError
@@ -137,6 +137,22 @@ def test_search_counts_are_pinned(window, counts):
     keys = ("configs_examined", "configs_skipped_rank", "configs_skipped_coloop", "triples_checked")
     assert tuple(rep[k] for k in keys) == counts
     assert rep["violations"] == []
+
+
+@pytest.mark.parametrize("window,built", [((3, 5), 151), ((3, 6), 486)])
+def test_search_builds_each_deletion_space_once_per_column_count(window, built, monkeypatch):
+    # equal deletions of the configurations with one column count share a
+    # central space; losing that sharing builds more of them
+    calls = []
+    real = zonotopal._family_short_space
+
+    def counting(c, fam):
+        calls.append(c.ncols)
+        return real(c, fam)
+
+    monkeypatch.setattr(zonotopal, "_family_short_space", counting)
+    search_internal_extension(*window)
+    assert len(calls) == built
 
 
 def test_search_below_threshold_is_empty():
