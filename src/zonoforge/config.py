@@ -31,7 +31,9 @@ Each Config also carries two private tables:
   and order, Crapo), `independents`, `bases`, `facets`, the coloop mask,
   X u B0 (`extended`) and `zonotopal`'s central, internal and deletion spaces.
 Neither is a field (equality, hash and repr ignore them); they live and die
-with their Config, and a derived Config starts with empty ones.  No
+with their Config.  A validated Config starts with empty ones, a derived
+one with only its `_matroid`, which `pull_matroid` reads off the masks of a
+deletion's parent, an augmentation's original or the search's 0/1 pool.  No
 module-level cache keeps a Config alive except `rank_of`'s `lru_cache`,
 whose `cache_info()` the benchmark's tracer reads.  `_from_ints` is the
 one constructor of derived Configs (a deletion X - x of a non-coloop,
@@ -232,6 +234,28 @@ def _matroid(c: Config) -> tuple:
     return frozenset(masks), tuple(basis_masks)
 
 
+def pull_matroid(c: Config, ground_masks, bits) -> Config:
+    """Fill c's independence table, and return c, from the independent masks
+    of a ground configuration of its rank whose column bits[j] is a multiple
+    of c's column j: a set is independent when it hits distinct ground
+    columns of independent mask.  `_matroid`'s walk, images for echelons."""
+    masks, basis_masks = [0], []
+    images = {0: 0}  # independent non-basis mask -> its ground mask
+    for mask in range(1, 1 << c.ncols):
+        low = mask & -mask
+        prev = images.get(mask ^ low)
+        bit = bits[low.bit_length() - 1]
+        if prev is None or prev & bit or prev | bit not in ground_masks:
+            continue
+        masks.append(mask)
+        if mask.bit_count() < c.n:
+            images[mask] = prev | bit
+        else:
+            basis_masks.append(mask)
+    c._tables[("_matroid",)] = frozenset(masks), tuple(basis_masks)
+    return c
+
+
 @per_config
 def independents(c: Config) -> tuple:
     """All independent column sets, lexicographic bitmask order."""
@@ -303,11 +327,13 @@ def _delete(c: Config, col: int) -> Config:
     """X - col, without b0 and offsets: equal to Config of the remaining
     columns, but built from c's normalized and integer columns, since
     deleting a non-coloop from a full-rank configuration leaves it full
-    rank and nothing needs validating again.  A coloop raises the
-    RankDeficient (rank n - 1) that Config would."""
+    rank and nothing needs validating again; its independence table is
+    pulled from c's.  A coloop raises the RankDeficient (rank n - 1) that
+    Config would."""
     if is_coloop(c, col):
         raise RankDeficient(c.n - 1, c.n)
-    return _from_ints(c.columns[:col] + c.columns[col + 1:], c._ints[:col] + c._ints[col + 1:])
+    child = _from_ints(c.columns[:col] + c.columns[col + 1:], c._ints[:col] + c._ints[col + 1:])
+    return pull_matroid(child, _matroid(c)[0], [1 << j for j in range(c.ncols) if j != col])
 
 
 # -- activity and valuation --------------------------------------------------

@@ -14,6 +14,7 @@ import random
 from .config import (
     Config,
     _from_ints,
+    _matroid,
     SemiExternalFamily,
     bases,
     extend_basis,
@@ -21,6 +22,7 @@ from .config import (
     is_independent,
     normal_power_condition,
     passive_set,
+    pull_matroid,
     rank_of,
     set_to_mask,
 )
@@ -41,7 +43,7 @@ from .graded import (
     ideals_equal,
     kernel,
 )
-from .linalg import echelon, frac
+from .linalg import frac
 from .zonotopal import (
     _span,
     central,
@@ -485,7 +487,11 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
     window that would examine nothing (n < 3 or fewer than 4 columns) is
     refused, like one past the caps.  Each triple goes straight to
     `r37_sides`: an examined configuration has no coloop and each triple is
-    found independent first, all that `internal_extension_check` validates."""
+    found independent first, all that `internal_extension_check` validates.
+    Per n, one independence table of the pool of 2^n - 1 nonzero 0/1
+    vectors answers the rank skip and is pulled into every examined
+    configuration; it walks 2^(2^n - 1) masks, 128 at n = 3 and 32,768 at
+    n = 4, which is why n stays at most SEARCH_MAX_N = 3."""
     if max_n > SEARCH_MAX_N or max_cols > SEARCH_MAX_COLS:
         raise InputError(
             f"search bounds capped at n<={SEARCH_MAX_N}, columns<={SEARCH_MAX_COLS}; "
@@ -509,6 +515,10 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
     for n in range(3, max_n + 1):
         pool = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
         fracs = {v: tuple(map(frac, v)) for v in pool}
+        bit = {v: 1 << k for k, v in enumerate(pool)}
+        # the pool spans and its columns are distinct and zero-free
+        pool_masks, pool_bases = _matroid(_from_ints(tuple(fracs[v] for v in pool), tuple(pool)))
+        spanning: dict = {}  # pool mask of a column tuple -> it spans
         # sorted column tuple -> full rank, for the previous column count:
         # deleting a column of a sorted tuple gives one enumerated there
         # (none before ncols = n, and n - 1 columns never span)
@@ -519,7 +529,11 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
             for cols in itertools.combinations_with_replacement(pool, ncols):
                 # both skips are decided on the 0/1 columns themselves, so a
                 # skipped configuration builds no Config and no rank entries
-                spans = full[cols] = len(echelon(cols, n)) == n
+                bits = [bit[v] for v in cols]
+                mask = sum(set(bits))  # the union of the columns' pool bits
+                if mask not in spanning:
+                    spanning[mask] = any(b & mask == b for b in pool_bases)
+                spans = full[cols] = spanning[mask]
                 if not spans:
                     report["configs_skipped_rank"] += 1
                     continue
@@ -527,7 +541,7 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
                     report["configs_skipped_coloop"] += 1
                     continue
                 # spanning, zero-free 0/1 columns are their own integer rows
-                c = _from_ints(tuple(fracs[v] for v in cols), cols)
+                c = pull_matroid(_from_ints(tuple(fracs[v] for v in cols), cols), pool_masks, bits)
                 share_deletion_spaces(c, shared)
                 report["configs_examined"] += 1
                 for tri in itertools.combinations(range(ncols), 3):

@@ -53,6 +53,7 @@ from .config import (
     _from_ints,
     _histogram,
     _mask_to_set,
+    _matroid,
     _product,
     SemiExternalFamily,
     bases,
@@ -69,6 +70,7 @@ from .config import (
     order_with_last,
     passive_set,
     per_config,
+    pull_matroid,
     set_to_mask,
     span_le,
     subset_polynomial,
@@ -161,10 +163,13 @@ def minimal_hitting_sets(sets) -> tuple:
 
 
 def _augment(c: Config, extra_cols) -> Config:
+    """X followed by copies of the extra columns, in index order; each copy
+    reads its original's bit in c's independence table."""
     extra = sorted(extra_cols)
-    return _from_ints(
+    aug = _from_ints(
         c.columns + tuple(c.columns[j] for j in extra), c._ints + tuple(c._ints[j] for j in extra)
     )
+    return pull_matroid(aug, _matroid(c)[0], [1 << j for j in [*range(c.ncols), *extra]])
 
 
 def _span(c: Config, masks) -> GradedSubspace:
@@ -463,14 +468,19 @@ def minimal_completion_sum(c: Config, fam: SemiExternalFamily) -> GradedSubspace
     holds, witness = normal_power_condition(c, fam)
     if not holds:
         raise ConditionFails(witness)
+    spaces: dict = {}  # integer columns added to X -> central space: equal ones built once
+
+    def completion_space(extra):
+        key = tuple(c._ints[j] for j in sorted(extra))
+        if key not in spaces:
+            spaces[key] = central_space(_augment(c, extra))
+        return spaces[key]
+
     total = GradedSubspace.zero(c.n)
     for i_set in fam:
         if any(m < i_set for m in fam):
             continue
-        inter = reduce(
-            intersect,
-            (central_space(_augment(c, b - i_set)) for b in bases(c) if i_set <= b),
-        )
+        inter = reduce(intersect, (completion_space(b - i_set) for b in bases(c) if i_set <= b))
         total = add(total, inter)
     return total
 

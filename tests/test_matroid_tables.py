@@ -152,8 +152,9 @@ def check_tables(c: Config, rng: random.Random) -> None:
 
 def check_deletions(c: Config) -> None:
     """Each column is a coloop exactly when the other Fraction columns lose
-    rank; deleting a non-coloop gives the Config of the other columns, with
-    empty tables, and deleting a coloop raises what that Config raises."""
+    rank; deleting a non-coloop gives the Config of the other columns, whose
+    only table is the independence table that Config would eliminate, and
+    deleting a coloop raises what that Config raises."""
     for x in range(c.ncols):
         rest = c.columns[:x] + c.columns[x + 1:]
         assert is_coloop(c, x) == (reference_rank(rest) < c.n)
@@ -167,7 +168,8 @@ def check_deletions(c: Config) -> None:
         child, ref = _delete(c, x), Config(rest)
         assert child == ref and hash(child) == hash(ref) and repr(child) == repr(ref)
         assert child._ints == ref._ints
-        assert (child._tables, child._products) == ({}, {})
+        assert set(child._tables) == {("_matroid",)} and child._products == {}
+        assert child._tables[("_matroid",)] == _matroid.__wrapped__(ref)
 
 
 @pytest.mark.parametrize("k", range(len(CONFIGS)))
@@ -211,6 +213,18 @@ def configs(draw):
 @given(configs(), st.integers(0, 2**16))
 def test_tables_match_the_earlier_routes_hypothesis(c, seed):
     check_tables(c, random.Random(seed))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(configs(), st.data())
+def test_pulled_tables_equal_eliminated_ones_hypothesis(c, data):
+    # deletions, augmentations (whose copies repeat columns) and deletions
+    # of an augmentation read the table a validated Config eliminates
+    extra = data.draw(st.sets(st.integers(0, c.ncols - 1), max_size=3))
+    aug = _augment(c, extra)
+    derived = [aug] + [_delete(d, x) for d in (c, aug) for x in range(d.ncols) if not is_coloop(d, x)]
+    for d in derived:
+        assert d._tables[("_matroid",)] == _matroid.__wrapped__(Config(d.columns))
 
 
 def test_facets_solve_one_normal_per_hyperplane(monkeypatch):
@@ -264,18 +278,25 @@ def test_equal_configs_share_no_table():
     assert a._tables and b._tables == {}
 
 
-def test_derived_configs_start_with_an_empty_table():
+def test_derived_configs_start_with_only_their_pulled_table():
+    # a validated copy starts empty; a deletion or augmentation starts with
+    # the independence table pulled from c's, and with nothing else
     c = Config(K4, lam=(1, 2, 3, 4, 5, 6))
     _fill(c)
     assert replace(c, lam=None)._tables == {}
     assert replace(c)._tables == {}
-    assert _delete(c, 0)._tables == {}
-    assert _augment(c, {0, 5})._tables == {}
+    for child, columns in [
+        (_delete(c, 0), K4[1:]),
+        (_augment(c, {0, 5}), K4 + (K4[0], K4[5])),
+    ]:
+        assert set(child._tables) == {("_matroid",)}
+        assert child._tables[("_matroid",)] == _matroid.__wrapped__(Config(columns))
 
 
 def test_the_coloop_mask_is_found_once_and_deletions_validate_nothing(monkeypatch):
     # the mask is the AND of the basis masks: once the bases are known it
-    # eliminates nothing, and once found it is kept
+    # eliminates nothing, and once found it is kept; each deletion reads
+    # c's stored independence table and eliminates nothing either
     c = Config(K4 + ((1, 1, 1),))
     config.bases(c)
 
@@ -285,13 +306,16 @@ def test_the_coloop_mask_is_found_once_and_deletions_validate_nothing(monkeypatc
     for name in ("echelon", "_integer_row", "frac", "rank_of"):
         monkeypatch.setattr(config, name, refuse)
     assert [is_coloop(c, x) for x in range(c.ncols)] == [False] * c.ncols
-    for name in ("_matroid", "bases"):
-        monkeypatch.setattr(config, name, refuse)
+    monkeypatch.setattr(config, "bases", refuse)
+    monkeypatch.setattr(config, "_matroid", lambda c: c._tables[("_matroid",)])
     assert not any(is_coloop(c, x) for x in range(c.ncols))
-    for x in range(c.ncols):
-        child = _delete(c, x)
+    children = [_delete(c, x) for x in range(c.ncols)]
+    monkeypatch.undo()
+    for x, child in enumerate(children):
         assert child.columns == c.columns[:x] + c.columns[x + 1:]
         assert child._ints == c._ints[:x] + c._ints[x + 1:]
+        assert set(child._tables) == {("_matroid",)}
+        assert child._tables[("_matroid",)] == _matroid.__wrapped__(Config(child.columns))
     # the coloop mask is kept in the memo, not in an attribute of its own,
     # and the deletions stored nothing on c
     assert set(c._tables) == {("_matroid",), ("bases",), ("_coloop_mask",)}

@@ -17,6 +17,7 @@ import pytest
 
 from zonoforge.config import (
     Config,
+    _matroid,
     bases,
     i_internal_bases,
     independents,
@@ -264,15 +265,22 @@ def test_the_violation_recheck_names_a_disagreement(monkeypatch):
 
 
 def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypatch):
-    # the search builds each examined configuration by `_from_ints` and
-    # checks each triple by `r37_sides`; on the whole 3/5 window both agree
-    # with a validated Config and with `internal_extension_check`
-    built, verdicts = [], []
-    real_build, real_sides = verify._from_ints, verify.r37_sides
+    # the search builds the pool of nonzero 0/1 vectors and then each
+    # examined configuration by `_from_ints`, pulls each one's independence
+    # table from the pool's and checks each triple by `r37_sides`; on the
+    # whole 3/5 window all agree with a validated Config and with
+    # `internal_extension_check`
+    built, pulled, verdicts = [], [], []
+    real_build, real_pull, real_sides = verify._from_ints, verify.pull_matroid, verify.r37_sides
 
     def build(columns, ints):
         built.append(real_build(columns, ints))
         return built[-1]
+
+    def pull(c, ground_masks, bits):
+        real_pull(c, ground_masks, bits)
+        pulled.append(dict(c._tables))
+        return c
 
     def sides(c, i_set):
         out = real_sides(c, i_set)
@@ -280,12 +288,18 @@ def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypat
         return out
 
     monkeypatch.setattr(verify, "_from_ints", build)
+    monkeypatch.setattr(verify, "pull_matroid", pull)
     monkeypatch.setattr(verify, "r37_sides", sides)
     report = verify.search_internal_extension(3, 5)
+    pool, built = built[0], built[1:]
+    assert pool == Config(tuple(v for v in itertools.product((0, 1), repeat=3) if any(v)))
+    assert pool._tables == {("_matroid",): _matroid.__wrapped__(pool)}
     want = _window_configs()
-    assert len(built) == len(want) == report["configs_examined"] == 100
-    for c, ref in zip(built, want):
+    assert len(built) == len(pulled) == len(want) == report["configs_examined"] == 100
+    for c, tables, ref in zip(built, pulled, want):
         assert c == ref and hash(c) == hash(ref) and c._ints == ref._ints
+        # when pulled, the table is the examined configuration's only entry
+        assert tables == {("_matroid",): _matroid.__wrapped__(ref)}
         assert (independents(c), bases(c)) == (independents(ref), bases(ref))
     assert len(verdicts) == report["triples_checked"] == 670
     expected = [
@@ -302,8 +316,10 @@ def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypat
 def test_the_search_validates_no_examined_configuration(monkeypatch):
     # the 0/1 columns are their own integer rows and the search has already
     # found them spanning: no Config validation and no Fraction pass in
-    # config, and the independence table's one-column extensions are the
-    # only eliminations beside the search's rank test of each column tuple
+    # config.  The pool's independence table is the window's only one that
+    # eliminates: its one-column extensions are every independence
+    # elimination, and the rank skip and every examined configuration and
+    # deletion read its masks
     from zonoforge import config
 
     def refuse(*args, **kwargs):
@@ -312,23 +328,44 @@ def test_the_search_validates_no_examined_configuration(monkeypatch):
     for name in ("frac", "_integer_row"):
         monkeypatch.setattr(config, name, refuse)
     monkeypatch.setattr(Config, "__post_init__", refuse)
-    rank_tests, extensions = [], []
-    real_rank, real_extend = verify.echelon, config.echelon
-
-    def rank_test(rows, ncols, *start):
-        rank_tests.append(len(rows))
-        return real_rank(rows, ncols, *start)
+    extensions = []
+    real_extend = config.echelon
 
     def extend(rows, ncols, *start):
         extensions.append((len(rows), len(start)))
         return real_extend(rows, ncols, *start)
 
-    monkeypatch.setattr(verify, "echelon", rank_test)
     monkeypatch.setattr(config, "echelon", extend)
     report = verify.search_internal_extension(3, 5)
     enumerated = report["configs_examined"] + report["configs_skipped_rank"] + report["configs_skipped_coloop"]
-    assert len(rank_tests) == enumerated == 756
-    assert extensions and set(extensions) == {(1, 1)}
+    assert enumerated == 756 and not hasattr(verify, "echelon")
+    # the 7-vector pool has 63 candidate masks past the empty one
+    assert len(extensions) == 63 and set(extensions) == {(1, 1)}
+
+
+def test_pulled_tables_equal_eliminated_ones_on_the_window(monkeypatch):
+    # every configuration the 3/5 window examines, and every deletion of
+    # each, reads the independence table a validated Config eliminates
+    built = []
+    real_build = verify._from_ints
+    monkeypatch.setattr(verify, "_from_ints", lambda cols, ints: built.append(real_build(cols, ints)) or built[-1])
+    verify.search_internal_extension(3, 5)
+    assert len(built) == 101
+    deletions = 0
+    for c in built[1:]:
+        assert c._tables[("_matroid",)] == _matroid.__wrapped__(Config(c.columns))
+        for x in range(c.ncols):
+            child = _delete(c, x)
+            assert child._tables[("_matroid",)] == _matroid.__wrapped__(Config(child.columns))
+            deletions += 1
+    assert deletions == sum(c.ncols for c in built[1:]) == 489
+
+
+def test_the_n4_window_reads_the_15_vector_pool(monkeypatch):
+    # the one window that builds the n = 4 pool's table, 32,768 masks
+    monkeypatch.setattr(verify, "SEARCH_MAX_N", 4)
+    report = verify.search_internal_extension(4, 5)
+    assert (report["configs_examined"], report["triples_checked"], report["violations"]) == (588, 5550, [])
 
 
 def test_the_search_rechecks_exactly_the_unequal_triples(monkeypatch):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from graded_oracle import integer_contains
 from hpoly_oracle import as_hpoly, as_row, pair
 from test_linalg import reference_rank
+from zonoforge import cli, zonotopal
 from zonoforge.cli import _family, parse_document
 from zonoforge.config import (
     bases,
@@ -275,6 +276,30 @@ def test_minimal_completion_sum(ex25, fam1, fam2):
     assert minimal_completion_sum(ex25, fam2) == semi_external(ex25, fam2).p_space
     with pytest.raises(ConditionFails):
         minimal_completion_sum(ex25, fam1)
+
+
+def test_equal_augmentations_share_one_central_space(monkeypatch, tmp_path):
+    # repeated.json's columns 0 and 1 are equal, so the completions of its
+    # minimal member by either one are equal augmentations: one space
+    augmented, built = [], []
+    real_augment, real_space = zonotopal._augment, zonotopal.central_space
+
+    def augment(c, extra):
+        augmented.append(real_augment(c, extra))
+        return augmented[-1]
+
+    def space(c):
+        if any(c is a for a in augmented):
+            built.append(c._ints)
+        return real_space(c)
+
+    monkeypatch.setattr(zonotopal, "_augment", augment)
+    monkeypatch.setattr(zonotopal, "central_space", space)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--theorem", "t28", "--input", str(INPUTS / "repeated.json"), "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["passed"]
+    assert len(augmented) == len(built) == len(set(built)) == 1
 
 
 # -- semi-internal -------------------------------------------------------------
