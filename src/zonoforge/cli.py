@@ -345,7 +345,7 @@ Exact certificates for hierarchical spaces of a rational vector configuration.
               construct one space bundle
   verify      --input DOC --theorem NAME [--dmax N] [--seed N] [--output FILE]
               run one theorem's certificate battery
-  search-r37  [--input DOC] [--max-n N] [--max-cols N] [--output FILE]
+  search-r37  [--max-n N] [--max-cols N] [--output FILE]
               search small configurations for a patched-extension violation
 
   --input DOC     JSON configuration document
@@ -380,8 +380,8 @@ COMMANDS = {
               "--kind": ("kind", _kind, None, True), "--dmax": _DMAX},
     "verify": {"--input": _INPUT, "--output": _OUTPUT, "--seed": _SEED,
                "--theorem": ("theorem", str, None, True), "--dmax": _DMAX},
-    "search-r37": {"--input": ("input", str, None, False), "--output": _OUTPUT,
-                   "--max-n": ("max_n", int, 3, False), "--max-cols": ("max_cols", int, 4, False)},
+    "search-r37": {"--output": _OUTPUT, "--max-n": ("max_n", int, 3, False),
+                   "--max-cols": ("max_cols", int, 4, False)},
 }
 
 
@@ -436,15 +436,11 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "search-r37":
-            echo = {}
-            if args.input:
-                c, meta = parse_document(_load(args.input))
-                echo = _echo(c, meta)
             result = search_internal_extension(args.max_n, args.max_cols)
             report = {
                 "command": "search-r37",
                 "version": __version__,
-                "input": echo,
+                "input": {},
                 "result": result,
                 "passed": True,
             }

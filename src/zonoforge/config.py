@@ -31,14 +31,12 @@ Each Config also carries two private tables:
   and order, Crapo), `independents`, `bases`, `facets`, the coloop mask,
   X u B0 (`extended`) and `zonotopal`'s central, internal and deletion spaces.
 Neither is a field (equality, hash and repr ignore them); they live and die
-with their Config.  A validated Config starts with empty ones, a derived
-one with only its `_matroid`, which `pull_matroid` reads off the masks of a
-deletion's parent, an augmentation's original or the search's 0/1 pool.  No
-module-level cache keeps a Config alive except `rank_of`'s `lru_cache`,
-whose `cache_info()` the benchmark's tracer reads.  `_from_ints` is the
-one constructor of derived Configs (a deletion X - x of a non-coloop,
-`_augment`, `extended`, the configurations the r37 search examines): it
-takes normalized columns and their integer rows and validates nothing.
+with their Config.  No module-level cache keeps a Config alive except
+`rank_of`'s `lru_cache`, whose `cache_info()` the benchmark's tracer reads.
+A validated Config starts with empty tables.  `_derive(ground, picks)`
+builds every derived one (a deletion, an augmentation, a configuration of
+the r37 search's 0/1 pool) from a list of ground column indices, validates
+nothing and starts it with only its `_matroid`, read off ground's masks.
 
 Column order matters for the activity notions: the default order is index
 order, and the I-relative internal activity uses the order that moves I's
@@ -163,20 +161,7 @@ class Config:
         columns."""
         if self.b0 is None:
             raise MissingB0()
-        b0_ints = tuple(tuple(_integer_row(col)) for col in self.b0)
-        return _from_ints(self.columns + self.b0, self._ints + b0_ints)
-
-
-def _from_ints(columns, ints) -> Config:
-    """Config(columns), without b0 and offsets, for normalized columns with
-    integer rows ints that the caller knows span and hold no zero column:
-    nothing is validated or converted again."""
-    c = object.__new__(Config)
-    object.__setattr__(c, "columns", columns)
-    for name in ("b0", "lam", "lam_b0"):
-        object.__setattr__(c, name, None)
-    c._start_tables(ints)
-    return c
+        return Config(self.columns + self.b0)
 
 
 def make_config(matrix_rows, b0_rows=None, lam=None, lam_b0=None) -> Config:
@@ -234,17 +219,24 @@ def _matroid(c: Config) -> tuple:
     return frozenset(masks), tuple(basis_masks)
 
 
-def pull_matroid(c: Config, ground_masks, bits) -> Config:
-    """Fill c's independence table, and return c, from the independent masks
-    of a ground configuration of its rank whose column bits[j] is a multiple
-    of c's column j: a set is independent when it hits distinct ground
-    columns of independent mask.  `_matroid`'s walk, images for echelons."""
+def _derive(ground: Config, picks) -> Config:
+    """Config of ground's columns at the index list picks (repeats allowed),
+    without b0 and offsets, for picks that the caller knows span: nothing is
+    validated or converted again.  Its one table entry is its independence
+    table, `_matroid`'s walk with ground images for echelons: a set is
+    independent when it picks distinct ground columns of independent mask."""
+    c = object.__new__(Config)
+    object.__setattr__(c, "columns", tuple(ground.columns[j] for j in picks))
+    for name in ("b0", "lam", "lam_b0"):
+        object.__setattr__(c, name, None)
+    c._start_tables(tuple(ground._ints[j] for j in picks))
+    ground_masks = _matroid(ground)[0]
     masks, basis_masks = [0], []
     images = {0: 0}  # independent non-basis mask -> its ground mask
     for mask in range(1, 1 << c.ncols):
         low = mask & -mask
         prev = images.get(mask ^ low)
-        bit = bits[low.bit_length() - 1]
+        bit = 1 << picks[low.bit_length() - 1]
         if prev is None or prev & bit or prev | bit not in ground_masks:
             continue
         masks.append(mask)
@@ -325,15 +317,12 @@ def is_coloop(c: Config, i: int) -> bool:
 
 def _delete(c: Config, col: int) -> Config:
     """X - col, without b0 and offsets: equal to Config of the remaining
-    columns, but built from c's normalized and integer columns, since
-    deleting a non-coloop from a full-rank configuration leaves it full
-    rank and nothing needs validating again; its independence table is
-    pulled from c's.  A coloop raises the RankDeficient (rank n - 1) that
-    Config would."""
+    columns, but derived from c, since deleting a non-coloop from a
+    full-rank configuration leaves it full rank.  A coloop raises the
+    RankDeficient (rank n - 1) that Config would."""
     if is_coloop(c, col):
         raise RankDeficient(c.n - 1, c.n)
-    child = _from_ints(c.columns[:col] + c.columns[col + 1:], c._ints[:col] + c._ints[col + 1:])
-    return pull_matroid(child, _matroid(c)[0], [1 << j for j in range(c.ncols) if j != col])
+    return _derive(c, [j for j in range(c.ncols) if j != col])
 
 
 # -- activity and valuation --------------------------------------------------

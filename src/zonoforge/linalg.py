@@ -32,9 +32,6 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
-Vector = tuple
-Matrix = tuple
-
 
 def frac(x) -> Fraction:
     # Fractions are immutable, so one that is already exact is passed through
@@ -46,12 +43,8 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vector(entries) -> Vector:
-    return tuple(frac(x) for x in entries)
-
-
-def matrix(rows) -> Matrix:
-    out = tuple(vector(r) for r in rows)
+def matrix(rows) -> tuple:
+    out = tuple(tuple(frac(x) for x in r) for r in rows)
     widths = {len(r) for r in out}
     if len(widths) > 1:
         raise DimensionMismatch(f"ragged rows of lengths {sorted(widths)}")

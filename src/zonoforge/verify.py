@@ -13,7 +13,7 @@ import random
 
 from .config import (
     Config,
-    _from_ints,
+    _derive,
     _matroid,
     SemiExternalFamily,
     bases,
@@ -22,7 +22,6 @@ from .config import (
     is_independent,
     normal_power_condition,
     passive_set,
-    pull_matroid,
     rank_of,
     set_to_mask,
 )
@@ -43,7 +42,6 @@ from .graded import (
     ideals_equal,
     kernel,
 )
-from .linalg import frac
 from .zonotopal import (
     _span,
     central,
@@ -464,10 +462,10 @@ def run_theorem(
     }
 
 
-def _confirm_violation(c: Config, i_set) -> tuple:
-    """Re-derive the left side through the power-ideal kernel before trusting
-    a reported inequality; the two primal routes must agree with each other."""
-    lhs, rhs, _, _ = r37_sides(c, i_set)
+def _confirm_violation(c: Config, i_set, lhs: GradedSubspace, rhs: GradedSubspace) -> bool:
+    """Re-derive the left side lhs of `r37_sides` through the power-ideal
+    kernel before trusting a reported inequality with rhs; the two primal
+    routes must agree with each other."""
     gens = semi_internal_i_gens(c, i_set)
     h = hilbert_quotient(gens, cap=stabilization_cap(c))
     dmax = max(lhs.top_degree(), rhs.top_degree(), len(h))
@@ -477,7 +475,7 @@ def _confirm_violation(c: Config, i_set) -> tuple:
             "deletion-intersection space and power-ideal kernel disagree: "
             f"columns {[list(map(str, v)) for v in c.columns]}, i={sorted(i_set)}"
         )
-    return k != rhs, lhs, rhs
+    return k != rhs
 
 
 def search_internal_extension(max_n: int, max_cols: int) -> dict:
@@ -488,10 +486,13 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
     refused, like one past the caps.  Each triple goes straight to
     `r37_sides`: an examined configuration has no coloop and each triple is
     found independent first, all that `internal_extension_check` validates.
-    Per n, one independence table of the pool of 2^n - 1 nonzero 0/1
-    vectors answers the rank skip and is pulled into every examined
-    configuration; it walks 2^(2^n - 1) masks, 128 at n = 3 and 32,768 at
-    n = 4, which is why n stays at most SEARCH_MAX_N = 3."""
+    Per n, the pool of 2^n - 1 nonzero 0/1 vectors is one Config and each
+    configuration a sorted tuple of pool indices: it is skipped for rank
+    unless its pool mask contains a pool basis, and for a coloop when an
+    index picked once leaves a mask that does not; an examined one is
+    `_derive(pool, picks)`.  The pool's independence table walks 2^(2^n - 1)
+    masks, 128 at n = 3 and 32,768 at n = 4, which is why n stays at most
+    SEARCH_MAX_N = 3."""
     if max_n > SEARCH_MAX_N or max_cols > SEARCH_MAX_COLS:
         raise InputError(
             f"search bounds capped at n<={SEARCH_MAX_N}, columns<={SEARCH_MAX_COLS}; "
@@ -513,35 +514,28 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
         "note": "an empty violation list asserts nothing beyond the searched bounds",
     }
     for n in range(3, max_n + 1):
-        pool = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
-        fracs = {v: tuple(map(frac, v)) for v in pool}
-        bit = {v: 1 << k for k, v in enumerate(pool)}
-        # the pool spans and its columns are distinct and zero-free
-        pool_masks, pool_bases = _matroid(_from_ints(tuple(fracs[v] for v in pool), tuple(pool)))
-        spanning: dict = {}  # pool mask of a column tuple -> it spans
-        # sorted column tuple -> full rank, for the previous column count:
-        # deleting a column of a sorted tuple gives one enumerated there
-        # (none before ncols = n, and n - 1 columns never span)
-        full_before: dict = {}
+        pool = Config(tuple(v for v in itertools.product((0, 1), repeat=n) if any(v)))
+        pool_bases = _matroid(pool)[1]
+        spanning: dict = {}  # pool mask -> it contains a pool basis
+
+        def spans(mask):
+            if mask not in spanning:
+                spanning[mask] = any(b & mask == b for b in pool_bases)
+            return spanning[mask]
+
         for ncols in range(n, max_cols + 1):
-            full = {}
             shared: dict = {}  # deletion integer columns -> central space
-            for cols in itertools.combinations_with_replacement(pool, ncols):
-                # both skips are decided on the 0/1 columns themselves, so a
-                # skipped configuration builds no Config and no rank entries
-                bits = [bit[v] for v in cols]
-                mask = sum(set(bits))  # the union of the columns' pool bits
-                if mask not in spanning:
-                    spanning[mask] = any(b & mask == b for b in pool_bases)
-                spans = full[cols] = spanning[mask]
-                if not spans:
+            for picks in itertools.combinations_with_replacement(range(pool.ncols), ncols):
+                # both skips read pool masks, so a skipped configuration
+                # builds no Config
+                mask = sum(1 << p for p in set(picks))
+                if not spans(mask):
                     report["configs_skipped_rank"] += 1
                     continue
-                if not all(full_before.get(cols[:j] + cols[j + 1:], False) for j in range(ncols)):
+                if any(picks.count(p) == 1 and not spans(mask ^ 1 << p) for p in picks):
                     report["configs_skipped_coloop"] += 1
                     continue
-                # spanning, zero-free 0/1 columns are their own integer rows
-                c = pull_matroid(_from_ints(tuple(fracs[v] for v in cols), cols), pool_masks, bits)
+                c = _derive(pool, picks)
                 share_deletion_spaces(c, shared)
                 report["configs_examined"] += 1
                 for tri in itertools.combinations(range(ncols), 3):
@@ -550,10 +544,7 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
                         continue
                     report["triples_checked"] += 1
                     lhs, rhs, _, _ = r37_sides(c, i_set)
-                    if lhs == rhs:
-                        continue
-                    confirmed, lhs, rhs = _confirm_violation(c, i_set)
-                    if confirmed:
+                    if lhs != rhs and _confirm_violation(c, i_set, lhs, rhs):
                         report["violations"].append(
                             {
                                 "matrix": [
@@ -566,5 +557,4 @@ def search_internal_extension(max_n: int, max_cols: int) -> dict:
                                 "reverified": True,
                             }
                         )
-            full_before = full
     return report

@@ -50,10 +50,9 @@ from .config import (
     _activity,
     _coloop_mask,
     _delete,
-    _from_ints,
+    _derive,
     _histogram,
     _mask_to_set,
-    _matroid,
     _product,
     SemiExternalFamily,
     bases,
@@ -70,7 +69,6 @@ from .config import (
     order_with_last,
     passive_set,
     per_config,
-    pull_matroid,
     set_to_mask,
     span_le,
     subset_polynomial,
@@ -160,16 +158,6 @@ def minimal_hitting_sets(sets) -> tuple:
         else:
             minimal.append(h)
     return tuple(_mask_to_set(h) for h in sorted(minimal))
-
-
-def _augment(c: Config, extra_cols) -> Config:
-    """X followed by copies of the extra columns, in index order; each copy
-    reads its original's bit in c's independence table."""
-    extra = sorted(extra_cols)
-    aug = _from_ints(
-        c.columns + tuple(c.columns[j] for j in extra), c._ints + tuple(c._ints[j] for j in extra)
-    )
-    return pull_matroid(aug, _matroid(c)[0], [1 << j for j in [*range(c.ncols), *extra]])
 
 
 def _span(c: Config, masks) -> GradedSubspace:
@@ -471,9 +459,11 @@ def minimal_completion_sum(c: Config, fam: SemiExternalFamily) -> GradedSubspace
     spaces: dict = {}  # integer columns added to X -> central space: equal ones built once
 
     def completion_space(extra):
-        key = tuple(c._ints[j] for j in sorted(extra))
+        extra = sorted(extra)
+        key = tuple(c._ints[j] for j in extra)
         if key not in spaces:
-            spaces[key] = central_space(_augment(c, extra))
+            # X followed by copies of the extra columns
+            spaces[key] = central_space(_derive(c, [*range(c.ncols), *extra]))
         return spaces[key]
 
     total = GradedSubspace.zero(c.n)

@@ -110,10 +110,10 @@ SHAPES = [
         ["verify", "--theorem", "pi", "--dmax", "3", "--seed", "2", "--input", "D", "--output", "F"],
         {"input": "D", "output": "F", "seed": 2, "theorem": "pi", "dmax": 3},
     ),
-    (["search-r37"], {"input": None, "output": None, "max_n": 3, "max_cols": 4}),
+    (["search-r37"], {"output": None, "max_n": 3, "max_cols": 4}),
     (
-        ["search-r37", "--input", "D", "--max-n", "3", "--max-cols", "6", "--output", "F"],
-        {"input": "D", "output": "F", "max_n": 3, "max_cols": 6},
+        ["search-r37", "--max-n", "3", "--max-cols", "6", "--output", "F"],
+        {"output": "F", "max_n": 3, "max_cols": 6},
     ),
 ]
 
@@ -149,6 +149,7 @@ USAGE_ERRORS = [
     (["search-r37", "--max-cols=six"], "argument --max-cols: invalid value 'six'"),
     (["space", "--input", TRIANGLE, "--kind", "cubic"], "argument --kind: invalid value 'cubic'"),
     (["search-r37", "--seed", "7", "--input", TRIANGLE], "search-r37: unrecognized argument '--seed'"),
+    (["search-r37", "--input", TRIANGLE], "search-r37: unrecognized argument '--input'"),
     # a negative depth would check no degree and still pass
     (
         ["verify", "--theorem", "exzono", "--dmax", "-3", "--input", TRIANGLE],

@@ -7,7 +7,9 @@ exported in `zonoforge.__all__`.  Every public method of a top-level class
 its own module outside its definition; exporting the class does not count.
 A use is a name or an attribute in the parsed source (stdlib `ast`), read
 by name alone; an import alone is not one, and neither is a call from
-inside the definition itself.
+inside the definition itself.  Every name a module imports must be used in
+that module or listed in its `__all__`, so no stale import outlives the
+code that read it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,24 @@ def unused_definitions(package: Path) -> list:
     return found
 
 
+def unused_imports(package: Path) -> list:
+    """(module, name) of each name a module binds by an import (from
+    `__future__` aside) that it neither uses nor lists in its `__all__`."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = used_names(tree) | exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append((path.stem, name))
+    return found
+
+
 def test_every_library_definition_has_a_library_use():
     # the allow-list must name exactly what is unused, so it cannot go stale
     assert sorted(unused_definitions(PACKAGE)) == ALLOWED
@@ -98,3 +118,21 @@ def test_the_guard_flags_a_public_method_only_the_tests_could_call(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Shown\n\nVALUE = Shown().used()\n")
     assert unused_definitions(tmp_path) == [("a", "Shown.spare")]
+
+
+def test_every_import_is_used_or_exported():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_the_guard_flags_an_import_nothing_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .a import shown, stale\nfrom .b import spare\n__all__ = ["shown", "spare"]\n'
+    )
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport json as js\nfrom math import gcd, lcm\n\n\n"
+        "def shown():\n    return gcd(2, 4) + len(os.path.sep)\n\n\n"
+        "def stale():\n    return 0\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import shown\n\n\ndef spare():\n    return 1\n")
+    assert unused_imports(tmp_path) == [("__init__", "stale"), ("a", "js"), ("a", "lcm"), ("b", "shown")]

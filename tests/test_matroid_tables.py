@@ -33,6 +33,7 @@ from zonoforge.config import (
     Config,
     Facet,
     _cocircuits,
+    _derive,
     _mask_to_set,
     _matroid,
     facets,
@@ -45,7 +46,7 @@ from zonoforge.config import (
 )
 from zonoforge.errors import RankDeficient
 from zonoforge.graded import intersect
-from zonoforge.zonotopal import _augment, _delete, central_space, deletion_intersection
+from zonoforge.zonotopal import _delete, central_space, deletion_intersection
 
 
 # -- the earlier routes, verbatim ---------------------------------------------
@@ -218,11 +219,13 @@ def test_tables_match_the_earlier_routes_hypothesis(c, seed):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(configs(), st.data())
 def test_pulled_tables_equal_eliminated_ones_hypothesis(c, data):
-    # deletions, augmentations (whose copies repeat columns) and deletions
-    # of an augmentation read the table a validated Config eliminates
+    # deletions, augmentations (whose copies repeat columns), a reordered
+    # augmentation and deletions of an augmentation read the table a
+    # validated Config eliminates
     extra = data.draw(st.sets(st.integers(0, c.ncols - 1), max_size=3))
-    aug = _augment(c, extra)
-    derived = [aug] + [_delete(d, x) for d in (c, aug) for x in range(d.ncols) if not is_coloop(d, x)]
+    aug = _derive(c, [*range(c.ncols), *sorted(extra)])
+    shuffled = _derive(c, [*data.draw(st.permutations(range(c.ncols))), *sorted(extra)])
+    derived = [aug, shuffled] + [_delete(d, x) for d in (c, aug) for x in range(d.ncols) if not is_coloop(d, x)]
     for d in derived:
         assert d._tables[("_matroid",)] == _matroid.__wrapped__(Config(d.columns))
 
@@ -287,7 +290,7 @@ def test_derived_configs_start_with_only_their_pulled_table():
     assert replace(c)._tables == {}
     for child, columns in [
         (_delete(c, 0), K4[1:]),
-        (_augment(c, {0, 5}), K4 + (K4[0], K4[5])),
+        (_derive(c, [*range(6), 0, 5]), K4 + (K4[0], K4[5])),
     ]:
         assert set(child._tables) == {("_matroid",)}
         assert child._tables[("_matroid",)] == _matroid.__wrapped__(Config(columns))
@@ -359,7 +362,7 @@ EXAMPLE25 = Path(__file__).resolve().parent.parent / "inputs" / "example25_first
     ids=["search-r37-3-5", "matroid-example25"],
 )
 def test_no_config_outlives_the_run_that_built_it(run, monkeypatch, capsys):
-    # every Config, validated or derived by `_from_ints`, starts its tables;
+    # every Config, validated or derived by `_derive`, starts its tables;
     # no module-level cache may keep one, or its tables, alive afterwards
     refs = []
     real = Config._start_tables

@@ -54,6 +54,8 @@ ROWS = [
     ("help", ["--help"], None, 0, None, None),
     ("version", ["--version"], None, 0, None, None),
     ("dmax-negative", ["verify", "--theorem", "pi", "--dmax", "-1"], "inputs/triangle.json", 2, None, None),
+    # the search reads no document, so it takes no --input
+    ("search-r37-input", ["search-r37"], "inputs/triangle.json", 2, None, None),
     (
         "doubled-column",
         ["verify", "--theorem", "pi"],

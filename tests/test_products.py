@@ -36,6 +36,7 @@ from zonoforge.cli import parse_document
 from zonoforge.config import (
     Config,
     SemiExternalFamily,
+    _derive,
     _mask_to_set,
     _product,
     ensure_family,
@@ -51,7 +52,6 @@ from zonoforge.graded import GradedSubspace
 from zonoforge.linalg import canonical
 from zonoforge.poly import HPoly, _shifts, monomials, perp_space_gens
 from zonoforge.zonotopal import (
-    _augment,
     _delete,
     _family_short_space,
     central_space,
@@ -365,7 +365,7 @@ def test_derived_configs_start_with_an_empty_table():
     assert replace(c, lam=None)._products == {}
     assert replace(c)._products == {}
     assert _delete(c, 0)._products == {}
-    assert _augment(c, {0, 5})._products == {}
+    assert _derive(c, [*range(6), 0, 5])._products == {}
 
 
 def test_module_level_caches_are_the_ones_the_readme_lists():

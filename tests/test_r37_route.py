@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from test_linalg import reference_rank
 from zonoforge.config import (
     Config,
     _matroid,
@@ -243,8 +244,8 @@ def test_the_violation_recheck_agrees_with_the_kernel_on_the_window():
     triples = _window_triples()
     assert len({c for c, _ in triples}) >= 20
     for c, i_set in triples:
-        confirmed, lhs, rhs = _confirm_violation(c, i_set)
-        assert (confirmed, lhs, rhs) == (False, *r37_sides(c, i_set)[:2])
+        lhs, rhs, _, _ = r37_sides(c, i_set)
+        assert _confirm_violation(c, i_set, lhs, rhs) is False
         gens = semi_internal_i_gens(c, i_set)
         dmax = max(lhs.top_degree(), rhs.top_degree(), len(hilbert_quotient(gens, cap=stabilization_cap(c))))
         assert kernel(gens, dmax) == lhs == rhs
@@ -254,7 +255,7 @@ def test_the_violation_recheck_names_a_disagreement(monkeypatch):
     c, i_set = _window_triples()[0]
     monkeypatch.setattr(verify, "kernel", lambda gens, dmax: GradedSubspace.zero(gens.nvars))
     with pytest.raises(ConsistencyError) as info:
-        _confirm_violation(c, i_set)
+        _confirm_violation(c, i_set, *r37_sides(c, i_set)[:2])
     text = str(info.value)
     assert "deletion-intersection space and power-ideal kernel disagree" in text
     assert str([list(map(str, v)) for v in c.columns]) in text
@@ -265,21 +266,20 @@ def test_the_violation_recheck_names_a_disagreement(monkeypatch):
 
 
 def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypatch):
-    # the search builds the pool of nonzero 0/1 vectors and then each
-    # examined configuration by `_from_ints`, pulls each one's independence
-    # table from the pool's and checks each triple by `r37_sides`; on the
-    # whole 3/5 window all agree with a validated Config and with
-    # `internal_extension_check`
-    built, pulled, verdicts = [], [], []
-    real_build, real_pull, real_sides = verify._from_ints, verify.pull_matroid, verify.r37_sides
+    # the search validates the pool of nonzero 0/1 vectors, derives each
+    # examined configuration from it by `_derive` and checks each triple by
+    # `r37_sides`; on the whole 3/5 window all agree with a validated
+    # Config and with `internal_extension_check`
+    validated, derived, verdicts = [], [], []
+    real_validate, real_derive, real_sides = Config.__post_init__, verify._derive, verify.r37_sides
 
-    def build(columns, ints):
-        built.append(real_build(columns, ints))
-        return built[-1]
+    def validate(self):
+        real_validate(self)
+        validated.append(self)
 
-    def pull(c, ground_masks, bits):
-        real_pull(c, ground_masks, bits)
-        pulled.append(dict(c._tables))
+    def derive(ground, picks):
+        c = real_derive(ground, picks)
+        derived.append((ground, c, dict(c._tables)))
         return c
 
     def sides(c, i_set):
@@ -287,18 +287,21 @@ def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypat
         verdicts.append((c, i_set, out[0] == out[1]))
         return out
 
-    monkeypatch.setattr(verify, "_from_ints", build)
-    monkeypatch.setattr(verify, "pull_matroid", pull)
+    monkeypatch.setattr(Config, "__post_init__", validate)
+    monkeypatch.setattr(verify, "_derive", derive)
     monkeypatch.setattr(verify, "r37_sides", sides)
     report = verify.search_internal_extension(3, 5)
-    pool, built = built[0], built[1:]
+    monkeypatch.undo()
+    (pool,) = validated
     assert pool == Config(tuple(v for v in itertools.product((0, 1), repeat=3) if any(v)))
     assert pool._tables == {("_matroid",): _matroid.__wrapped__(pool)}
+    assert all(ground is pool for ground, _, _ in derived)
+    built = [c for _, c, _ in derived]
     want = _window_configs()
-    assert len(built) == len(pulled) == len(want) == report["configs_examined"] == 100
-    for c, tables, ref in zip(built, pulled, want):
+    assert len(built) == len(want) == report["configs_examined"] == 100
+    for (_, c, tables), ref in zip(derived, want):
         assert c == ref and hash(c) == hash(ref) and c._ints == ref._ints
-        # when pulled, the table is the examined configuration's only entry
+        # when derived, the table is the examined configuration's only entry
         assert tables == {("_matroid",): _matroid.__wrapped__(ref)}
         assert (independents(c), bases(c)) == (independents(ref), bases(ref))
     assert len(verdicts) == report["triples_checked"] == 670
@@ -314,20 +317,34 @@ def test_the_search_builds_and_checks_what_config_and_the_report_would(monkeypat
 
 
 def test_the_search_validates_no_examined_configuration(monkeypatch):
-    # the 0/1 columns are their own integer rows and the search has already
-    # found them spanning: no Config validation and no Fraction pass in
-    # config.  The pool's independence table is the window's only one that
-    # eliminates: its one-column extensions are every independence
-    # elimination, and the rank skip and every examined configuration and
-    # deletion read its masks
+    # the search validates one Config, the pool of nonzero 0/1 vectors, and
+    # derives every examined configuration from it: no other validation and
+    # no other Fraction pass in config.  The pool's validation is one rank
+    # echelon of its 7 columns; its independence table is then the window's
+    # only one that eliminates: its one-column extensions are every other
+    # elimination, and the rank and coloop skips, every examined
+    # configuration and every deletion read its masks
     from zonoforge import config
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an examined configuration was validated again")
+    validated, active = [], [False]
+    real_validate = Config.__post_init__
+
+    def validate(self):
+        validated.append(self.columns)
+        active[0] = True
+        real_validate(self)
+        active[0] = False
+
+    def outside_validation(real):
+        def guarded(*args):
+            if not active[0]:
+                raise AssertionError("an examined configuration was validated again")
+            return real(*args)
+        return guarded
 
     for name in ("frac", "_integer_row"):
-        monkeypatch.setattr(config, name, refuse)
-    monkeypatch.setattr(Config, "__post_init__", refuse)
+        monkeypatch.setattr(config, name, outside_validation(getattr(config, name)))
+    monkeypatch.setattr(Config, "__post_init__", validate)
     extensions = []
     real_extend = config.echelon
 
@@ -339,26 +356,65 @@ def test_the_search_validates_no_examined_configuration(monkeypatch):
     report = verify.search_internal_extension(3, 5)
     enumerated = report["configs_examined"] + report["configs_skipped_rank"] + report["configs_skipped_coloop"]
     assert enumerated == 756 and not hasattr(verify, "echelon")
+    assert validated == [tuple(v for v in itertools.product((0, 1), repeat=3) if any(v))]
     # the 7-vector pool has 63 candidate masks past the empty one
-    assert len(extensions) == 63 and set(extensions) == {(1, 1)}
+    assert extensions == [(7, 0)] + [(1, 1)] * 63
 
 
 def test_pulled_tables_equal_eliminated_ones_on_the_window(monkeypatch):
     # every configuration the 3/5 window examines, and every deletion of
     # each, reads the independence table a validated Config eliminates
     built = []
-    real_build = verify._from_ints
-    monkeypatch.setattr(verify, "_from_ints", lambda cols, ints: built.append(real_build(cols, ints)) or built[-1])
+    real_derive = verify._derive
+    monkeypatch.setattr(verify, "_derive", lambda ground, picks: built.append(real_derive(ground, picks)) or built[-1])
     verify.search_internal_extension(3, 5)
-    assert len(built) == 101
+    assert len(built) == 100
     deletions = 0
-    for c in built[1:]:
+    for c in built:
         assert c._tables[("_matroid",)] == _matroid.__wrapped__(Config(c.columns))
         for x in range(c.ncols):
             child = _delete(c, x)
             assert child._tables[("_matroid",)] == _matroid.__wrapped__(Config(child.columns))
             deletions += 1
-    assert deletions == sum(c.ncols for c in built[1:]) == 489
+    assert deletions == sum(c.ncols for c in built) == 489
+
+
+def test_the_skips_read_the_ranks_of_the_columns_and_of_each_deletion(monkeypatch):
+    # on the whole 3/6 window, a column tuple is skipped for rank exactly
+    # when its Fraction columns do not span, for a coloop exactly when they
+    # span and some single deletion does not, and examined otherwise
+    pool = [v for v in itertools.product((0, 1), repeat=3) if any(v)]
+    rank: dict = {}
+
+    def spans(cols):
+        if cols not in rank:
+            rank[cols] = reference_rank(cols)
+        return rank[cols] == 3
+
+    want = {"rank": 0, "coloop": 0, "examined": []}
+    for ncols in range(3, 7):
+        for picks in itertools.combinations_with_replacement(range(len(pool)), ncols):
+            cols = tuple(pool[p] for p in picks)
+            if not spans(cols):
+                want["rank"] += 1
+            elif not all(spans(cols[:j] + cols[j + 1:]) for j in range(ncols)):
+                want["coloop"] += 1
+            else:
+                want["examined"].append(picks)
+    examined = []
+    real_derive = verify._derive
+
+    def derive(ground, picks):
+        examined.append(tuple(picks))
+        return real_derive(ground, picks)
+
+    monkeypatch.setattr(verify, "_derive", derive)
+    # the triples are not what this test checks
+    monkeypatch.setattr(verify, "is_independent", lambda c, i_set: False)
+    report = verify.search_internal_extension(3, 6)
+    assert (report["configs_skipped_rank"], report["configs_skipped_coloop"]) == (want["rank"], want["coloop"])
+    assert examined == want["examined"]
+    assert (want["rank"], want["coloop"], len(examined)) == (442, 791, 447)
 
 
 def test_the_n4_window_reads_the_15_vector_pool(monkeypatch):
@@ -381,9 +437,11 @@ def test_the_search_rechecks_exactly_the_unequal_triples(monkeypatch):
             rhs = GradedSubspace.zero(c.n)
         return lhs, rhs, n_plain, n_restricted
 
-    def recheck(c, i_set):
+    def recheck(c, i_set, lhs, rhs):
+        # the search hands over the sides it has just compared
+        assert (lhs, rhs) == (real_sides(c, i_set)[0], GradedSubspace.zero(c.n))
         rechecked.append((c, i_set))
-        return True, *real_sides(c, i_set)[:2]
+        return True
 
     monkeypatch.setattr(verify, "r37_sides", sides)
     monkeypatch.setattr(verify, "_confirm_violation", recheck)
@@ -417,4 +475,4 @@ def test_the_n4_counterexample_is_a_confirmed_inequality():
     lhs, rhs, _, _ = r37_sides(c, i_set)
     assert lhs != rhs
     assert (lhs, rhs) == want
-    assert _confirm_violation(c, i_set) == (True, lhs, rhs)
+    assert _confirm_violation(c, i_set, lhs, rhs) is True

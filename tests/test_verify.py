@@ -259,7 +259,7 @@ def test_the_rank_count_is_the_valuation(ex25):
 def test_reorder_builds_no_permuted_configuration(token, built, monkeypatch):
     # a fresh configuration, so its X u B0 is not yet in its table
     c = make_config([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 1]], b0_rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    # every Config, validated or derived by `_from_ints`, starts its tables
+    # every Config, validated or derived by `_derive`, starts its tables
     real = Config._start_tables
     calls = []
 

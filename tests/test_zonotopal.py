@@ -280,12 +280,13 @@ def test_minimal_completion_sum(ex25, fam1, fam2):
 
 def test_equal_augmentations_share_one_central_space(monkeypatch, tmp_path):
     # repeated.json's columns 0 and 1 are equal, so the completions of its
-    # minimal member by either one are equal augmentations: one space
+    # minimal member by either one are equal augmentations: one space.
+    # `_derive` is zonotopal's builder of augmentations and of nothing else
     augmented, built = [], []
-    real_augment, real_space = zonotopal._augment, zonotopal.central_space
+    real_derive, real_space = zonotopal._derive, zonotopal.central_space
 
-    def augment(c, extra):
-        augmented.append(real_augment(c, extra))
+    def derive(c, picks):
+        augmented.append(real_derive(c, picks))
         return augmented[-1]
 
     def space(c):
@@ -293,7 +294,7 @@ def test_equal_augmentations_share_one_central_space(monkeypatch, tmp_path):
             built.append(c._ints)
         return real_space(c)
 
-    monkeypatch.setattr(zonotopal, "_augment", augment)
+    monkeypatch.setattr(zonotopal, "_derive", derive)
     monkeypatch.setattr(zonotopal, "central_space", space)
     out = tmp_path / "report.json"
     argv = ["verify", "--theorem", "t28", "--input", str(INPUTS / "repeated.json"), "--output", str(out)]
