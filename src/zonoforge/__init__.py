@@ -46,7 +46,6 @@ from .zonotopal import (
     Bundle,
     central,
     codimension_counts,
-    d_space,
     dual_pairing_certificate,
     external,
     internal_extension_check,
@@ -70,7 +69,6 @@ __all__ = [
     "bases",
     "central",
     "codimension_counts",
-    "d_space",
     "direct_sum_certificate",
     "dual_pairing_certificate",
     "ensure_family",

@@ -28,17 +28,22 @@ call that builds it.
 
 The kernel of an ideal under the apolarity action only depends on the
 generators: g(D) annihilates q for every generator g iff every element of
-the ideal annihilates q.  It is computed from the generators alone, one
-integer row per generator and target monomial by the closed form
-g(D) t^m = sum_a c_a * m!/(m-a)! * t^(m-a), and never multiplies by a
-variable, so it stays independent of Ideal and the workhorse duality is a
-real cross-check: for any generator set, dim kernel_d + dim I_d = dim of
-the full degree-d component.
+the ideal annihilates q.  `_apolar_rows` writes that condition from the
+generators alone by the closed form g(D) t^m = sum_a c_a * m!/(m-a)! *
+t^(m-a), never multiplying by a variable, and by Macaulay's duality
+dim kernel_d + dim I_d = dim of the full degree-d component.  So
+`equals_kernel` decides that a space S is the kernel with none built: the
+rows annihilate S's canonical rows, and S's dimensions are those Ideal
+leaves.  S comes from spans of products or from geometry, so the check
+meets three independent routes and restates none.  `kernel`, the
+nullspace of the same rows, renders `space --dmax` and is the tests'
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from math import gcd
 
 from .errors import DimensionMismatch, InputError, NoStabilization
@@ -204,35 +209,58 @@ def _check_dmax(dmax: int) -> None:
         raise InputError(f"dmax must be a non-negative degree, got {dmax}")
 
 
-def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
-    """Degrees 0..dmax of {q : g(D) q = 0 for every generator g}.
+def _apolar_rows(gens: IdealGens, d: int):
+    """Each generator g = sum_a c_a t^a of degree e <= d with its rows on
+    degree d: the coefficient of t^u in g(D) q is sum_a c_a * (u+a)!/u! *
+    q_(u+a), one sparse {column: int} row per target monomial u of degree
+    d - e.  g(D) annihilates q_d exactly when every row is orthogonal to it."""
+    n = gens.nvars
+    index = {m: k for k, m in enumerate(monomials(n, d))}
+    for g in gens.gens:
+        e, row, _ = g
+        if e > d:
+            continue
+        terms = [(a, c) for a, c in zip(monomials(n, e), row) if c]
+        rows = []
+        for u in monomials(n, d - e):
+            shifted = [(tuple([x + y for x, y in zip(u, a)]), a, c) for a, c in terms]
+            rows.append({index[m]: c * _falling(m, a) for m, a, c in shifted})
+        yield g, rows
 
-    For a generator g = sum_a c_a t^a of degree e (c its integer row),
-    the coefficient of t^u in g(D) q is sum_a c_a * (u+a)!/u! * q_(u+a): one
-    integer row per target monomial u of degree d - e.  The component is
-    the integer nullspace of those rows (everything when there are none).
-    """
+
+def kernel(gens: IdealGens, dmax: int) -> GradedSubspace:
+    """Degrees 0..dmax of {q : g(D) q = 0 for every generator g}: each
+    component is the integer nullspace of the `_apolar_rows` (everything
+    when there are none)."""
     _check_dmax(dmax)
     n = gens.nvars
-    scaled = [(e, [(a, c) for a, c in zip(monomials(n, e), row) if c]) for e, row, _ in gens.gens]
     comps = []
     for d in range(dmax + 1):
-        mons = monomials(n, d)
-        index = {m: k for k, m in enumerate(mons)}
-        rows = []
-        for e, terms in scaled:
-            if e > d:
-                continue
-            for u in monomials(n, d - e):
-                row = [0] * len(mons)
-                for a, c in terms:
-                    m = tuple([x + y for x, y in zip(u, a)])
-                    row[index[m]] = c * _falling(m, a)
-                rows.append(row)
-        basis = integer_nullspace(rows, len(mons))
+        size = component_dim(n, d)
+        rows = [[r.get(k, 0) for k in range(size)] for _, rs in _apolar_rows(gens, d) for r in rs]
+        basis = integer_nullspace(rows, size)
         if basis:
             comps.append((d, basis))
     return GradedSubspace(n, tuple(comps))
+
+
+def equals_kernel(space: GradedSubspace, gens: IdealGens, dmax: int) -> tuple:
+    """Whether space is kernel(gens, dmax), by the duality above: (a) every
+    generator's `_apolar_rows` annihilate every canonical row of space, and
+    (b) its Hilbert vector is dim R_d - dim I_d for d <= dmax, up to the
+    first zero (every later one is zero too).  Returns the verdict, that
+    Hilbert vector and the first (generator, degree) failing (a), or None."""
+    _check_dmax(dmax)
+    ideal = Ideal(gens)
+    dims = (component_dim(gens.nvars, d) - ideal.dim(d) for d in range(dmax + 1))
+    hilbert = tuple(takewhile(bool, dims))
+    for d, basis in space.comps:
+        if d > dmax:
+            break
+        for g, rows in _apolar_rows(gens, d):
+            if any(sum(x * q[k] for k, x in r.items()) for r in rows for q in basis):
+                return False, hilbert, (g, d)
+    return space.hilbert() == hilbert, hilbert, None
 
 
 def hilbert_quotient(gens: IdealGens, cap: int) -> tuple:

@@ -37,16 +37,15 @@ from .graded import (
     GradedSubspace,
     IdealGens,
     direct_sum_certificate,
+    equals_kernel,
     hilbert_quotient,
     ideal_contains,
     ideals_equal,
-    kernel,
 )
 from .zonotopal import (
     _span,
     central,
     codimension_counts,
-    d_space,
     dual_pairing_certificate,
     external,
     facet_powers,
@@ -81,6 +80,16 @@ def _space_row(name: str, lhs: GradedSubspace, rhs: GradedSubspace, **evidence) 
     )
 
 
+def _kernel_row(name: str, space: GradedSubspace, gens: IdealGens, dmax: int, **evidence) -> dict:
+    """space against kernel(gens, dmax) by `equals_kernel`: rhs_hilbert is
+    the kernel's Hilbert vector, and a failing row names the first generator
+    and degree that do not annihilate space, if any."""
+    equal, h, witness = equals_kernel(space, gens, dmax)
+    if witness is not None:
+        evidence["not_annihilated"] = {"generator": witness[0], "degree": witness[1]}
+    return _row(name, equal, lhs_hilbert=list(space.hilbert()), rhs_hilbert=list(h), **evidence)
+
+
 def _offsets_str(arr) -> list:
     return [str(x) for x in arr.offsets]
 
@@ -91,14 +100,13 @@ def _extended_offsets(c: Config):
     return lam + lam_b0
 
 
-def _dual_row(kernel_space, points, label: str, arr) -> dict:
-    return _space_row(
-        label,
-        least_space(points),
-        kernel_space,
-        n_points=len(points),
-        offsets=_offsets_str(arr),
-    )
+def _dual_row(bundle, points, label: str, arr) -> tuple:
+    """The least space of the points against the cover-ideal kernel one
+    degree past the primal top: the row, and that least space."""
+    least = least_space(points)
+    evidence = {"n_points": len(points), "offsets": _offsets_str(arr)}
+    dmax = bundle.p_space.top_degree() + 1
+    return _kernel_row(label, least, bundle.j_ideal, dmax, **evidence), least
 
 
 def _direct_sum_row(bundle, dmax=None) -> dict:
@@ -111,11 +119,13 @@ def _direct_sum_row(bundle, dmax=None) -> dict:
     )
 
 
-def _gram_row(bundle, kernel_space) -> dict:
-    cert = dual_pairing_certificate(bundle, kernel_space)
+def _gram_row(bundle, dual: dict, least: GradedSubspace) -> dict:
+    """The pairing with the least space of the dual row, which is the
+    kernel only when that row passed: otherwise this row fails too."""
+    cert = dual_pairing_certificate(bundle, least)
     return _row(
         "pairing between the primal basis and the kernel basis is invertible",
-        cert["passed"],
+        dual["passed"] and cert["passed"],
         dim_primal=cert["dim_primal"],
         dim_kernel=cert["dim_kernel"],
     )
@@ -138,6 +148,7 @@ def _bundle_rows(bundle, what: str, count: int) -> list:
     """The rows every bundle battery opens with: the primal dimension
     against the member count, the three Hilbert functions, and the primal
     space against the power-ideal kernel."""
+    p = bundle.p_space
     return [
         _row(
             f"space dimension equals the {what}",
@@ -146,11 +157,7 @@ def _bundle_rows(bundle, what: str, count: int) -> list:
             count=count,
         ),
         _triple_hilbert_row(bundle),
-        _space_row(
-            "primal space equals the power-ideal kernel",
-            bundle.p_space,
-            kernel(bundle.i_ideal, bundle.p_space.top_degree()),
-        ),
+        _kernel_row("primal space equals the power-ideal kernel", p, bundle.i_ideal, p.top_degree()),
     ]
 
 
@@ -190,11 +197,8 @@ def _verify_exzono(c: Config, given, seed: int, dmax) -> list:
     rows = _bundle_rows(b, "basis count", len(bases(c)))
     arr = make_arrangement(c, c.lam, seed)
     pts = vertex_set(arr, bases(c))
-    rows.append(
-        _dual_row(d_space(b), pts, "least space of the vertices equals the cover-ideal kernel", arr)
-    )
-    rows.append(_direct_sum_row(b, dmax))
-    return rows
+    dual, _ = _dual_row(b, pts, "least space of the vertices equals the cover-ideal kernel", arr)
+    return rows + [dual, _direct_sum_row(b, dmax)]
 
 
 def _verify_pi(c: Config, given, seed: int, dmax) -> list:
@@ -248,11 +252,7 @@ def _verify_plus(c: Config, given, seed: int, dmax) -> list:
             dim=p.dim(),
             count=count,
         ),
-        _space_row(
-            "full span equals the power-ideal kernel",
-            p,
-            kernel(gens, p.top_degree()),
-        ),
+        _kernel_row("full span equals the power-ideal kernel", p, gens, p.top_degree()),
     ]
     unimodular, pts = zonotope_lattice(c)
     if unimodular:
@@ -316,13 +316,8 @@ def _verify_explus(c: Config, given, seed: int, dmax) -> list:
     arr = make_arrangement(c.extended(), _extended_offsets(c), seed)
     ext_bases = [extend_basis(c, s) for s in independents(c)]
     pts = vertex_set(arr, ext_bases)
-    rows.append(
-        _dual_row(
-            d_space(b), pts, "least space of the extended vertices equals the cover-ideal kernel", arr
-        )
-    )
-    rows.append(_reorder_row(b, seed))
-    return rows
+    label = "least space of the extended vertices equals the cover-ideal kernel"
+    return rows + [_dual_row(b, pts, label, arr)[0], _reorder_row(b, seed)]
 
 
 def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
@@ -331,14 +326,9 @@ def _verify_t26(c: Config, fam: SemiExternalFamily, seed: int, dmax) -> list:
     rows = _bundle_rows(b, "family size", len(fam))
     arr = make_arrangement(c.extended(), _extended_offsets(c), seed)
     pts = vertex_set(arr, [extend_basis(c, s) for s in fam])
-    d = d_space(b)
-    rows.append(
-        _dual_row(
-            d, pts, "least space of the family vertices equals the cover-ideal kernel", arr
-        )
-    )
-    rows.append(_direct_sum_row(b, dmax))
-    rows.append(_gram_row(b, d))
+    label = "least space of the family vertices equals the cover-ideal kernel"
+    dual, least = _dual_row(b, pts, label, arr)
+    rows += [dual, _direct_sum_row(b, dmax), _gram_row(b, dual, least)]
     return rows
 
 
@@ -395,14 +385,9 @@ def _verify_t34(c: Config, i_set, seed: int, dmax) -> list:
     fam_bases = b.b_minus if b.b_minus is not None else bases(c)
     arr = make_arrangement(c, c.lam, seed)
     pts = vertex_set(arr, fam_bases)
-    d = d_space(b)
-    return [
-        _dual_row(
-            d, pts, "least space of the restricted vertices equals the cover-ideal kernel", arr
-        ),
-        _direct_sum_row(b, dmax),
-        _gram_row(b, d),
-    ]
+    label = "least space of the restricted vertices equals the cover-ideal kernel"
+    dual, least = _dual_row(b, pts, label, arr)
+    return [dual, _direct_sum_row(b, dmax), _gram_row(b, dual, least)]
 
 
 def _verify_r37(c: Config, i_set, seed: int, dmax) -> list:
@@ -463,19 +448,20 @@ def run_theorem(
 
 
 def _confirm_violation(c: Config, i_set, lhs: GradedSubspace, rhs: GradedSubspace) -> bool:
-    """Re-derive the left side lhs of `r37_sides` through the power-ideal
-    kernel before trusting a reported inequality with rhs; the two primal
-    routes must agree with each other."""
+    """Check that the left side lhs of `r37_sides` is the power-ideal kernel
+    before trusting a reported inequality with rhs; the two primal routes
+    must agree with each other.  Once a kernel component is zero every later
+    one is (the ideal is full from there on), so equality through one degree
+    past the top of lhs is equality in every degree."""
     gens = semi_internal_i_gens(c, i_set)
-    h = hilbert_quotient(gens, cap=stabilization_cap(c))
-    dmax = max(lhs.top_degree(), rhs.top_degree(), len(h))
-    k = kernel(gens, dmax)
-    if k != lhs:
+    equal, h, witness = equals_kernel(lhs, gens, lhs.top_degree() + 1)
+    if not equal:
         raise ConsistencyError(
             "deletion-intersection space and power-ideal kernel disagree: "
-            f"columns {[list(map(str, v)) for v in c.columns]}, i={sorted(i_set)}"
+            f"columns {[list(map(str, v)) for v in c.columns]}, i={sorted(i_set)}, "
+            f"lhs_hilbert={list(lhs.hilbert())}, kernel_hilbert={list(h)}, not_annihilated={witness}"
         )
-    return k != rhs
+    return lhs != rhs
 
 
 def search_internal_extension(max_n: int, max_cols: int) -> dict:

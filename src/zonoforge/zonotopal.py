@@ -75,7 +75,7 @@ from .config import (
     valuation_histogram,
 )
 from .errors import ColoopInI, ConditionFails, ConsistencyError, InputError, MissingB0, NotIndependent
-from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
+from .graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect
 from .linalg import canonical, echelon
 from .poly import monomials, multi_factorial, perp_space_gens
 
@@ -417,17 +417,14 @@ def bundle_for(c: Config, kind: str, fam: SemiExternalFamily | None = None, i_se
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def d_space(bundle: Bundle) -> GradedSubspace:
-    """Kernel of the cover ideal, computed one degree past the primal top."""
-    return kernel(bundle.j_ideal, bundle.p_space.top_degree() + 1)
-
-
 def dual_pairing_certificate(bundle: Bundle, kernel_space: GradedSubspace) -> dict:
     """Gram-matrix invertibility between the primal basis (the q_basis
     products, else the p_space rows) and the basis of kernel_space, the
-    cover-ideal kernel from `d_space`.  The entry of integer rows p and q
-    is the apolarity pairing sum_m p_m q_m m!, zero across degrees; scaling
-    a row or a column changes no rank, so no denominator is read."""
+    cover-ideal kernel: the batteries pass the least space of the vertices,
+    which `graded.equals_kernel` has compared with it.  The entry of integer
+    rows p and q is the apolarity pairing sum_m p_m q_m m!, zero across
+    degrees; scaling a row or a column changes no rank, so no denominator is
+    read."""
     if bundle.q_basis is not None:
         p_polys = [q for _, q in bundle.q_basis]
     else:

@@ -27,6 +27,7 @@ from zonoforge.graded import (
     add,
     component_dim,
     direct_sum_certificate,
+    equals_kernel,
     hilbert_quotient,
     ideal_contains,
     ideals_equal,
@@ -135,6 +136,8 @@ def test_negative_dmax_is_refused():
     g = gens_of(2, [(2, 0), (0, 2)])
     with pytest.raises(InputError, match="dmax"):
         kernel(g, -1)
+    with pytest.raises(InputError, match="dmax"):
+        equals_kernel(GradedSubspace.zero(2), g, -1)
     with pytest.raises(InputError, match="dmax"):
         direct_sum_certificate(kernel(g, 2), g, dmax=-3)
     assert direct_sum_certificate(kernel(g, 2), g, dmax=0)["degrees"][0]["degree"] == 0
@@ -742,6 +745,58 @@ def _assert_sparse_matches_dense(gens: IdealGens, dmax: int, rng) -> None:
 @example(gens=IdealGens(1, ((2, (3,), 1), (2, (3,), 1), (1, (-1,), 2))), dmax=4, rng=random.Random(3))
 def test_sparse_ideal_matches_the_dense_one(gens, dmax, rng):
     _assert_sparse_matches_dense(gens, dmax, rng)
+
+
+# -- "equals the kernel" by annihilation and dimensions, against the kernel ------
+
+
+def _kernel_variants(rng, k: GradedSubspace, dmax: int) -> list:
+    """The kernel k; k with one row perturbed at the same dimensions; k with
+    one row dropped; k with one foreign row added, at a degree up to one past
+    dmax; and a random space."""
+    n = k.nvars
+    out = [k]
+    if k.comps:
+        d, basis = rng.choice(k.comps)
+        size, i = component_dim(n, d), rng.randrange(len(basis))
+        others = {e: list(b) for e, b in k.comps}
+        del others[d][i]
+        for _ in range(8):
+            row = list(basis[i])
+            row[rng.randrange(size)] += rng.choice((-2, -1, 1, 3))
+            if len(canonical(others[d] + [row], size)) == len(basis):
+                out.append(GradedSubspace.from_components(n, {**others, d: others[d] + [row]}))
+                break
+        out.append(GradedSubspace.from_components(n, others))
+    out.append(add(k, random_space(rng, n, rng.randint(0, dmax + 1), 1)))
+    first = random_space(rng, n, rng.randint(0, dmax), rng.randint(1, 3))
+    out.append(add(first, random_space(rng, n, rng.randint(0, dmax), 1)))
+    return out
+
+
+def _assert_equals_kernel_matches(gens: IdealGens, dmax: int, rng) -> None:
+    """Verdict and Hilbert vector are those of kernel(gens, dmax) == S; the
+    witness is absent exactly when S through dmax lies in the kernel, and
+    otherwise a generator that fails to annihilate S in that degree."""
+    n = gens.nvars
+    ref = kernel(gens, dmax)
+    for s in _kernel_variants(rng, ref, dmax):
+        equal, hilbert, witness = equals_kernel(s, gens, dmax)
+        assert (equal, hilbert) == (ref == s, ref.hilbert())
+        low = GradedSubspace(n, tuple(c for c in s.comps if c[0] <= dmax))
+        assert (witness is None) == (intersect(low, ref) == low)
+        if witness is not None:
+            g, d = witness
+            assert g in gens.gens
+            assert intersect(low, kernel(IdealGens(n, (g,)), d)).component(d) != low.component(d)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(gens=_drawn_gens(), dmax=st.integers(0, 4), rng=st.randoms(use_true_random=False))
+@example(gens=IdealGens(2, ()), dmax=2, rng=random.Random(1))
+@example(gens=gens_of(2, [(2, 0), (0, 2)]), dmax=3, rng=random.Random(2))
+def test_equals_kernel_matches_the_kernel(gens, dmax, rng):
+    _assert_equals_kernel_matches(gens, dmax, rng)
 
 
 # draw_base(5, 8, (0, 1), 3) of the benchmark's algebra ladder, written out

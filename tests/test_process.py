@@ -21,6 +21,7 @@ CONFIG_5X8 = {
     "b0": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
 }
 EXTERNAL_5X8 = [1, 5, 15, 35, 61, 55, 28, 8, 1]
+SEMI_EXTERNAL_5X8 = [1, 5, 15, 28, 16, 6, 1]  # iprime [[0, 1]]
 SEARCH_KEYS = ("configs_examined", "configs_skipped_rank", "configs_skipped_coloop", "triples_checked")
 R37_KEYS = ("mode", "equal", "lhs_hilbert", "rhs_hilbert")
 MATROID_KEYS = ("bases", "independents", "internal_bases", "i_internal_bases")
@@ -41,6 +42,12 @@ def _reorder_facts(report):
     rows = {row["check"]: row for row in report["result"]["checks"]}
     row = rows[REORDER_ROW]
     return row["lhs_hilbert"], row["rhs_hilbert"]
+
+
+def _kernel_facts(report):
+    # each row that compares a space with a power- or cover-ideal kernel
+    rows = [row for row in report["result"]["checks"] if row["check"].endswith("-ideal kernel")]
+    return [(row["lhs_hilbert"], row["rhs_hilbert"]) for row in rows]
 
 
 def _matroid_facts(report):
@@ -90,6 +97,22 @@ ROWS = [
         0,
         lambda report: report["result"]["hilbert"],
         {"valuation": EXTERNAL_5X8, "quotient": EXTERNAL_5X8, "space": EXTERNAL_5X8},
+    ),
+    (
+        "plus-5x8",
+        ["verify", "--theorem", "plus"],
+        CONFIG_5X8,
+        0,
+        _kernel_facts,
+        [(EXTERNAL_5X8, EXTERNAL_5X8)],
+    ),
+    (
+        "t26-5x8",
+        ["verify", "--theorem", "t26"],
+        {**CONFIG_5X8, "iprime": [[0, 1]]},
+        0,
+        _kernel_facts,
+        [(SEMI_EXTERNAL_5X8, SEMI_EXTERNAL_5X8)] * 2,
     ),
     (
         "basis-5x8-reorder",

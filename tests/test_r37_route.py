@@ -32,7 +32,7 @@ from zonoforge.config import (
 )
 from zonoforge import verify
 from zonoforge.errors import ColoopInI, ConsistencyError, NotIndependent, RankDeficient, ZeroColumn
-from zonoforge.graded import GradedSubspace, add, hilbert_quotient, intersect, kernel
+from zonoforge.graded import GradedSubspace, IdealGens, add, hilbert_quotient, intersect, kernel
 from zonoforge.verify import _confirm_violation
 from zonoforge.zonotopal import (
     _delete,
@@ -253,13 +253,23 @@ def test_the_violation_recheck_agrees_with_the_kernel_on_the_window():
 
 def test_the_violation_recheck_names_a_disagreement(monkeypatch):
     c, i_set = _window_triples()[0]
-    monkeypatch.setattr(verify, "kernel", lambda gens, dmax: GradedSubspace.zero(gens.nvars))
+    # a constant joins the generators: the kernel is zero, and the constant
+    # is the first generator that fails to annihilate the left side
+    one = (0, (1,), 1)
+    real = verify.equals_kernel
+
+    def with_one(space, gens, dmax):
+        return real(space, IdealGens(gens.nvars, (one, *gens.gens)), dmax)
+
+    monkeypatch.setattr(verify, "equals_kernel", with_one)
+    lhs, rhs, _, _ = r37_sides(c, i_set)
     with pytest.raises(ConsistencyError) as info:
-        _confirm_violation(c, i_set, *r37_sides(c, i_set)[:2])
+        _confirm_violation(c, i_set, lhs, rhs)
     text = str(info.value)
     assert "deletion-intersection space and power-ideal kernel disagree" in text
     assert str([list(map(str, v)) for v in c.columns]) in text
     assert f"i={sorted(i_set)}" in text
+    assert f"lhs_hilbert={list(lhs.hilbert())}, kernel_hilbert=[], not_annihilated={(one, 0)}" in text
 
 
 # -- the search's own configurations and checks ----------------------------------

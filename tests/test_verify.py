@@ -8,12 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from zonoforge import verify, zonotopal
-from zonoforge.cli import parse_document
+from test_r37_route import COUNTEREXAMPLE
+from zonoforge import graded, verify, zonotopal
+from zonoforge.cli import main, parse_document
 from zonoforge.config import Config, make_config, passive_set
 from zonoforge.errors import InputError
-from zonoforge.verify import THEOREMS, _reorder_row, run_theorem, search_internal_extension
-from zonoforge.zonotopal import central, external
+from zonoforge.verify import (
+    THEOREMS,
+    _confirm_violation,
+    _reorder_row,
+    run_theorem,
+    search_internal_extension,
+)
+from zonoforge.zonotopal import central, external, r37_sides
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 K4 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1))
@@ -33,6 +40,31 @@ def test_token_list_is_fixed():
         "t34",
         "r37",
     )
+
+
+def test_no_battery_computes_a_kernel(tmp_path, monkeypatch):
+    """Every "equals the kernel" row and the search's violation re-check
+    read `graded.equals_kernel`: with `graded.kernel` raising wherever it is
+    bound, every theorem passes on every document, and the 4 x 7 r37
+    counterexample, whose sides differ, is still a confirmed inequality.
+    `space --dmax`, which renders the kernel, is its one library caller."""
+
+    def refuse(gens, dmax):
+        raise AssertionError("a battery built a kernel")
+
+    for mod in (graded, verify, zonotopal):
+        monkeypatch.setattr(mod, "kernel", refuse, raising=False)
+    out = tmp_path / "report.json"
+    docs = sorted(INPUTS.glob("*.json"))
+    assert len(THEOREMS) == 11 and docs
+    for doc in docs:
+        for theorem in THEOREMS:
+            assert main(["verify", "--input", str(doc), "--theorem", theorem, "--output", str(out)]) == 0
+            assert json.loads(out.read_text())["result"]["passed"], (doc.name, theorem)
+    c, i_set = make_config(COUNTEREXAMPLE), frozenset({2, 3, 5})
+    lhs, rhs, _, _ = r37_sides(c, i_set)
+    assert lhs != rhs
+    assert _confirm_violation(c, i_set, lhs, rhs) is True
 
 
 def test_unknown_token_rejected(ex25):

@@ -51,7 +51,6 @@ from zonoforge.zonotopal import (
     central,
     central_space,
     codimension_counts,
-    d_space,
     dual_pairing_certificate,
     external,
     full_span_space,
@@ -364,12 +363,12 @@ def test_bundle_for_without_an_index_list_is_an_input_error(ex25):
 
 def test_d_space_dimension_matches(ex25):
     b = central(ex25)
-    assert d_space(b).dim() == b.dim()
+    assert kernel(b.j_ideal, b.p_space.top_degree() + 1).dim() == b.dim()
 
 
 def test_dual_pairing_certificate(ex25, fam1):
     for b in (central(ex25), semi_external(ex25, fam1), semi_internal(ex25, {3})):
-        cert = dual_pairing_certificate(b, d_space(b))
+        cert = dual_pairing_certificate(b, kernel(b.j_ideal, b.p_space.top_degree() + 1))
         assert cert["passed"] and cert["invertible"]
         assert cert["dim_primal"] == cert["dim_kernel"] == b.dim()
 
@@ -379,7 +378,7 @@ def test_dual_pairing_certificate_singular_gram(identity2):
     # primal side of the same dimension with t1^2 in place of t2 has a zero
     # Gram row, since t1^2 pairs with nothing in the kernel
     b = external(identity2)
-    kernel_space = d_space(b)
+    kernel_space = kernel(b.j_ideal, b.p_space.top_degree() + 1)
     assert kernel_space.comps == ((0, ((1,),)), (1, ((1, 0), (0, 1))), (2, ((0, 1, 0),)))
     assert dual_pairing_certificate(b, kernel_space)["invertible"]
     other = GradedSubspace.from_components(2, {0: [[1]], 1: [[1, 0]], 2: [[1, 0, 0], [0, 1, 0]]})
@@ -413,7 +412,7 @@ def test_integer_gram_matches_the_pair_gram_on_every_document_bundle():
     # each bundle with its q_basis products, with its canonical p_space
     # rows, and with the first monomials of each degree in place of p_space
     # (square, and singular for some); the kernel one degree short of
-    # d_space drops a component, so the Gram matrix there is not square
+    # the primal top drops a component, so the Gram matrix there is not square
     for path in sorted(INPUTS.glob("*.json")):
         c, meta = parse_document(json.loads(path.read_text(encoding="utf-8")))
         for kind in ("central", "external", "semi_external", "semi_internal"):
@@ -428,7 +427,7 @@ def test_integer_gram_matches_the_pair_gram_on_every_document_bundle():
             at_top = kernel(b.j_ideal, b.p_space.top_degree())
             short = kernel(b.j_ideal, max(b.p_space.top_degree() - 1, 0))
             primals = (b, dataclasses.replace(b, q_basis=None), dataclasses.replace(b, p_space=units, q_basis=None))
-            for kernel_space in (d_space(b), at_top, short):
+            for kernel_space in (kernel(b.j_ideal, b.p_space.top_degree() + 1), at_top, short):
                 for bundle in primals:
                     got = dual_pairing_certificate(bundle, kernel_space)
                     assert got == reference_dual_pairing(bundle, kernel_space), (path.name, kind)
