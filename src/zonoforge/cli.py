@@ -4,7 +4,10 @@ Commands read one JSON input document describing the configuration and
 write one JSON report; reports are deterministic byte-for-byte for
 identical inputs (including the seed).  With --output the JSON goes to the
 file and a short human summary goes to stdout; without it the JSON itself
-is the stdout output.
+is the stdout output.  The report text is json.dumps(report, sort_keys=True,
+indent=2) plus a newline, written here in one pass by `_dumps` (the json C
+encoder cannot indent); polynomial text reads each monomial's variables
+from a table cached per (nvars, degree).
 
 Exit codes: 0 all certificates passed, 1 a certificate failed (or an
 internal consistency check tripped), 2 bad input or a usage error.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
 
@@ -153,6 +157,16 @@ def _echo(c: Config, meta) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _monomial_text(nvars: int, degree: int) -> tuple[str, ...]:
+    """The variable text of each monomial of monomials(nvars, degree), in
+    order: t1^2*t3, or "" for the monomial 1."""
+    return tuple(
+        "*".join([f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in enumerate(exp) if e])
+        for exp in monomials(nvars, degree)
+    )
+
+
 def _render(nvars: int, poly) -> str:
     """The text of a (degree, integer row, denominator) polynomial.
 
@@ -163,13 +177,15 @@ def _render(nvars: int, poly) -> str:
     """
     d, row, den = poly
     text = ""
-    for exp, x in zip(monomials(nvars, d), row):
+    for variables, x in zip(_monomial_text(nvars, d), row):
         if not x:
             continue
-        g = gcd(x, den)
-        num, q = abs(x) // g, den // g
-        mag = str(num) if q == 1 else f"{num}/{q}"
-        variables = "*".join([f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in enumerate(exp) if e])
+        if den == 1:
+            mag = str(abs(x))
+        else:
+            g = gcd(x, den)
+            num, q = abs(x) // g, den // g
+            mag = str(num) if q == 1 else f"{num}/{q}"
         if not variables:
             body = mag
         elif mag == "1":
@@ -411,6 +427,67 @@ def _parse_argv(argv: list) -> SimpleNamespace:
     return SimpleNamespace(command=argv[0], **args)
 
 
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), in one pass.
+
+    The stdlib's C encoder cannot indent, so json.dumps would run its
+    pure-Python encoder.  This one covers what a report holds: dicts with
+    str keys, lists and tuples, str (through the C string escaper json
+    uses), int, bool and None; anything else raises TypeError.
+    """
+    out = []
+    _write(value, out.append, "\n")
+    return "".join(out)
+
+
+def _write(value, put, newline: str) -> None:
+    """Put value's text piece by piece; newline is a line break plus the
+    indent of value's own line."""
+    kind = type(value)
+    if kind is str:
+        put(_STRING(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            put(sep + _STRING(key) + ": ")
+            _write(value[key], put, inner)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {str}:
+            text = map(int.__repr__ if int in kinds else _STRING, value)
+            put("[" + inner + ("," + inner).join(text) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(item, put, inner)
+            sep = "," + inner
+        put(newline + "]")
+    elif kind is bool:
+        put("true" if value else "false")
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is None:
+        put("null")
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value")
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -475,7 +552,7 @@ def main(argv=None) -> int:
         print(f"certificate failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zonoforge import __version__, config, graded, linalg, zonotopal
-from zonoforge.cli import USAGE, _parse_argv, main, parse_document
+from zonoforge.cli import USAGE, _dumps, _parse_argv, main, parse_document
 from zonoforge.errors import InputError
 from zonoforge.poly import HPoly
 from zonoforge.verify import THEOREMS
@@ -282,6 +284,47 @@ def test_golden_reports(tmp_path, capsys, golden_name, argv):
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
 
 
+# -- the report writer ---------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_CHARS = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028')
+_TEXT = st.text(st.one_of(_CHARS, st.characters(exclude_categories=())), max_size=6)
+_INTS = st.one_of(
+    st.integers(-3, 3), st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64))
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _TEXT, st.lists(_INTS, max_size=5), st.lists(_TEXT, max_size=5)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+_NOT_IN_A_REPORT = (1.5, frozenset({1}), {1: "a"})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_VALUES)
+def test_writer_equals_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    for bad in _NOT_IN_A_REPORT:
+        for shape in (bad, [value, bad], {"k": value, "l": [bad]}):
+            with pytest.raises(TypeError):
+                _dumps(shape)
+
+
+def test_writer_rewrites_every_golden():
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert goldens
+    for path in goldens:
+        text = _dumps(json.loads(path.read_text(encoding="utf-8"))) + "\n"
+        assert text.encode("utf-8") == path.read_bytes(), path.name
+
+
 def test_every_elimination_runs_on_int_rows(tmp_path, monkeypatch):
     """No Fraction reaches either elimination kernel: every row that
     `verify` hands to `linalg._eliminate` or `graded.Ideal` hands to
@@ -538,6 +581,36 @@ def test_exit_1_on_certificate_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("certificate failure: ConsistencyError: central: Hilbert functions disagree")
 
 
+def test_basis_span_row_reports_the_constructor_check(tmp_path, capsys, monkeypatch):
+    """The basis battery's "generators span the primal space" row cannot fail
+    by itself: zonotopal.central has already compared the span of the same
+    passive-set products with the short-set space.  One basis's passive set
+    losing a column trips that check: exit 1, and no report is written."""
+    real = zonotopal.passive_set
+    hit = []
+
+    def short_one(c, y, order=None):
+        out = real(c, y, order)
+        if out and not hit:
+            hit.append(y)
+            return out - {max(out)}
+        return out
+
+    monkeypatch.setattr(zonotopal, "passive_set", short_one)
+    out = tmp_path / "basis.json"
+    code = main(
+        ["verify", "--input", str(INPUTS / "example25_first.json"), "--theorem", "basis",
+         "--output", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert hit and code == 1
+    assert captured.err.startswith(
+        "certificate failure: ConsistencyError: central: passive-set products fail to span"
+        " the short-set space"
+    )
+    assert not out.exists() and "PASS" not in captured.out
+
+
 def test_exit_2_on_fixed_non_simple_offsets(tmp_path, capsys):
     doc = write_doc(
         tmp_path,
@@ -584,6 +657,70 @@ def test_search_refuses_an_empty_window(capsys, bounds):
     assert code == 2
     assert "empty search window" in captured.err
     assert captured.out == ""
+
+
+# -- random documents through main -------------------------------------------------
+
+_ENTRIES = st.sampled_from([0, 1, -1, 2, -2, 3, "1/2", "-1/3"])
+
+
+@st.composite
+def _runs(draw):
+    """One argv and the document it reads: n <= 3 rows, n <= N <= 6 columns,
+    and each optional field present or not, sometimes malformed."""
+    n = draw(st.integers(1, 3))
+    ncols = draw(st.integers(n, 6))
+    rows = lambda r, w: st.lists(st.lists(_ENTRIES, min_size=w, max_size=w), min_size=r, max_size=r)
+    holes = lambda k: st.lists(st.one_of(st.none(), _ENTRIES), min_size=k, max_size=k)
+    off = st.sampled_from([0, 0, 0, -1, 1])  # a wrong length now and then
+    index_lists = st.lists(st.integers(0, ncols - 1), max_size=3, unique=True)
+    optional = {
+        "b0": rows(n, n),  # sometimes singular: not a basis
+        "lambda": off.flatmap(lambda k: holes(ncols + k)),
+        "lambda_b0": holes(n),
+        "iprime": st.lists(index_lists, min_size=1, max_size=3),
+        "iprime_closed": st.booleans(),
+        "i": index_lists,
+        "seed": st.integers(-5, 50),
+    }
+    doc = {"matrix": draw(rows(n, ncols))}
+    doc.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    command = draw(st.sampled_from(["verify", "space", "matroid", "search-r37"]))
+    argv = [command]
+    if command == "search-r37":
+        argv += draw(st.sampled_from([[], ["--max-cols", "4"], ["--max-n", "2"], ["--max-n", "4"]]))
+    else:
+        argv += ["--input", "DOC"]
+        if command == "space":
+            argv += ["--kind", draw(st.sampled_from(KINDS))]
+        elif command == "verify":
+            argv += ["--theorem", draw(st.sampled_from(THEOREMS))]
+        if command != "matroid" and draw(st.booleans()):
+            argv += ["--dmax", str(draw(st.integers(0, 3)))]
+    return doc, argv
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_runs())
+def test_random_documents_exit_cleanly(tmp_path, run):
+    """No exception escapes main, and every report written on exit 0 is the
+    json text of what it holds, newline-terminated."""
+    doc, argv = run
+    path, out = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    code = main(argv + ["--output", str(out)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 # -- console entry points --------------------------------------------------------
